@@ -3,17 +3,18 @@
 The paper's evaluation ran on a distributed fault-tolerant platform;
 every backend below this module loses data and surfaces errors the
 moment one worker process dies.  :class:`ClusterCacheService` is the
-single-host stand-in for that platform: N node *processes* (each the
-same worker body as :class:`~repro.service.mp.MPCacheService`, hosting
-a stock :class:`~repro.service.core.CacheService`), keys placed on a
+single-host stand-in for that platform: N node *processes*, each
+hosting a stock :class:`~repro.service.core.CacheService` and run by
+the same :class:`~repro.service.mp.WorkerPool` that runs
+:class:`~repro.service.mp.MPCacheService`'s workers, keys placed on a
 consistent-hash :class:`~repro.cluster.ring.HashRing` instead of a
 modulo map, and every key written to its first ``replication``
 distinct ring owners.
 
 Failure semantics, in order of appearance:
 
-* **Failover.**  A node that dies — detected by pipe EOF, exactly the
-  mp backend's watchdog signal, and injectable deterministically with
+* **Failover.**  A node that dies — detected by pipe EOF, which the
+  pool reports as a crashed id, and injectable deterministically with
   the :data:`~repro.resilience.faults.WORKER_CRASH` fault kind — is
   marked down and *skipped*: reads walk the key's surviving replicas,
   writes land on them.  With ``replication >= 2`` a single node death
@@ -44,18 +45,11 @@ deterministic failover tests pin this.
 
 from __future__ import annotations
 
-import multiprocessing
 import threading
-import time
 from typing import Any, Dict, Hashable, Iterable, List, Optional, Tuple
 
 from repro.cluster.ring import DEFAULT_VNODES, HashRing
-from repro.service.mp import (
-    ServiceClosedError,
-    WorkerCrashedError,
-    _default_start_method,
-    _worker_main,
-)
+from repro.service.mp import PoolService, WorkerPool
 from repro.service.sharded import (
     aggregate_stats,
     partition_capacity,
@@ -78,24 +72,7 @@ class _Miss:
     __slots__ = ()
 
 
-class _Node:
-    """Parent-side record for one node process."""
-
-    __slots__ = ("node_id", "conn", "proc", "lock", "alive", "capacity",
-                 "pid", "exitcode")
-
-    def __init__(self, node_id: int, conn, proc, capacity: int) -> None:
-        self.node_id = node_id
-        self.conn = conn
-        self.proc = proc
-        self.lock = threading.Lock()
-        self.alive = True
-        self.capacity = capacity
-        self.pid = proc.pid
-        self.exitcode: Optional[int] = None
-
-
-class ClusterCacheService:
+class ClusterCacheService(PoolService):
     """N replicated node processes behind the one-service API.
 
     Parameters
@@ -131,9 +108,9 @@ class ClusterCacheService:
     **service_kwargs:
         Forwarded to every node's ``CacheService`` (picklable only).
 
-    Thread safety matches the mp backend: each node channel is
-    guarded by a lock held for the full exchange, acquired in node-id
-    order; the failover/repair counters take a dedicated lock.
+    Thread safety is the pool's: each node channel is guarded by a
+    lock held for the full exchange, acquired in node-id order; the
+    failover/repair counters take a dedicated lock.
     """
 
     def __init__(
@@ -160,182 +137,52 @@ class ClusterCacheService:
         self.capacity = capacity
         self.replication = replication
         self._node_share = capacities[0]  # a joiner's capacity share
-        self._policy = policy
-        self._service_kwargs = dict(service_kwargs)
-        self._ctx = multiprocessing.get_context(
-            start_method or _default_start_method()
-        )
         self.ring = HashRing(vnodes=vnodes)
-        self._nodes: Dict[int, _Node] = {}
-        self._handshakes: Dict[int, Dict[str, Any]] = {}
-        self._closed = False
         self._counter_lock = threading.Lock()
         self.failovers = 0
         self.read_repairs = 0
         self.rebalanced_keys = 0
         self.degraded_ops = 0
         self._registry = metrics
+        self._pool = WorkerPool(
+            policy,
+            start_method=start_method,
+            service_kwargs=service_kwargs,
+            name="cluster-cache-node",
+        )
         try:
-            for i, cap in enumerate(capacities):
-                self._spawn_node(i, cap, (fault_plans or {}).get(i))
-                self.ring.add_node(i)
+            infos = self._pool.spawn({
+                i: (cap, (fault_plans or {}).get(i))
+                for i, cap in enumerate(capacities)
+            })
         except BaseException:
-            self._closed = True
-            self._teardown()
+            self._pool.close()
             raise
-        self.policy_name = self._handshakes[0]["policy_name"]
-        self.supports_removal = self._handshakes[0]["supports_removal"]
+        for i in range(num_nodes):
+            self.ring.add_node(i)
+        self.policy_name = infos[0]["policy_name"]
+        self.supports_removal = infos[0]["supports_removal"]
         if metrics is not None:
             self._wire_metrics(metrics)
 
     # ------------------------------------------------------------------
-    # Node lifecycle
+    # Node liveness (mark-down semantics, unlike mp's raise)
     # ------------------------------------------------------------------
-    def _spawn_node(self, node_id: int, capacity: int, fault_plan) -> None:
-        """Start one node process and run the startup handshake."""
-        parent_conn, child_conn = self._ctx.Pipe(duplex=True)
-        proc = self._ctx.Process(
-            target=_worker_main,
-            args=(child_conn, node_id, capacity, self._policy,
-                  dict(self._service_kwargs), False, fault_plan),
-            name=f"cluster-cache-node-{node_id}",
-            daemon=True,
-        )
-        proc.start()
-        child_conn.close()  # the node holds the only child end
-        node = _Node(node_id, parent_conn, proc, capacity)
-        self._nodes[node_id] = node
-        try:
-            tag, payload = parent_conn.recv()
-        except (EOFError, OSError) as exc:
-            raise self._crash_error(node) from exc
-        if tag == "err":
-            raise payload
-        self._handshakes[node_id] = payload
-        node.pid = payload["pid"]
-        if self._registry is not None:
-            self._register_node_gauge(node_id)
-
-    def _crash_error(self, node: _Node) -> WorkerCrashedError:
-        node.proc.join(timeout=1.0)
-        node.exitcode = node.proc.exitcode
-        return WorkerCrashedError(node.node_id, node.pid, node.exitcode)
-
-    def _mark_down(self, node: _Node) -> None:
-        """Record a node death; never raises — this is failover, not
-        failure."""
-        if not node.alive:
-            return
-        node.alive = False
-        node.proc.join(timeout=1.0)
-        node.exitcode = node.proc.exitcode
-        try:
-            node.conn.close()
-        except OSError:
-            pass
-
-    def _shutdown_node(self, node: _Node, timeout: float = 2.0) -> None:
-        """Stop one node process for good (close message, join, kill)."""
-        with node.lock:
-            if node.alive:
-                try:
-                    node.conn.send(("close",))
-                except (OSError, ValueError, BrokenPipeError):
-                    pass
-            try:
-                node.conn.close()
-            except OSError:
-                pass
-            node.alive = False
-        node.proc.join(timeout=timeout)
-        if node.proc.is_alive():
-            node.proc.terminate()
-            node.proc.join(timeout=1.0)
-        node.exitcode = node.proc.exitcode
-        try:
-            node.proc.close()
-        except ValueError:
-            pass
-
-    def _live_ids(self) -> List[int]:
-        return sorted(nid for nid, node in self._nodes.items() if node.alive)
-
-    def _node_alive(self, node_id: int) -> bool:
-        node = self._nodes.get(node_id)
-        return node is not None and node.alive
-
     @property
     def node_ids(self) -> List[int]:
         """Every ring member's id, sorted (live or not)."""
-        return sorted(self._nodes)
+        return self._pool.worker_ids()
 
     def node_health(self) -> Dict[int, bool]:
         """``{node_id: alive}`` for every ring member, sorted."""
-        return {nid: self._nodes[nid].alive for nid in sorted(self._nodes)}
-
-    # ------------------------------------------------------------------
-    # Channel plumbing (mark-down semantics, unlike mp's raise)
-    # ------------------------------------------------------------------
-    def _ensure_open(self) -> None:
-        if self._closed:
-            raise ServiceClosedError(
-                "ClusterCacheService is closed; build a new one"
-            )
-
-    def _exchange(
-        self, msgs: Dict[int, tuple]
-    ) -> Tuple[Dict[int, Any], List[int]]:
-        """One message per node; returns ``(replies, crashed_ids)``.
-
-        Locks are taken in node-id order and all sends complete before
-        the first receive, so the involved nodes run concurrently.  A
-        node that dies mid-exchange is *marked down* and listed in
-        ``crashed_ids`` — the caller fails over; a crash never raises
-        here.  Remote application errors (bad ttl, removal
-        unsupported) still raise after the drain, like the mp backend.
-        """
-        self._ensure_open()
-        idxs = sorted(nid for nid in msgs if nid in self._nodes)
-        nodes = [self._nodes[nid] for nid in idxs]
-        for node in nodes:
-            node.lock.acquire()
-        try:
-            crashed: List[int] = []
-            remote: Optional[BaseException] = None
-            replies: Dict[int, Any] = {}
-            sent: List[_Node] = []
-            for node in nodes:
-                if not node.alive:
-                    crashed.append(node.node_id)
-                    continue
-                try:
-                    node.conn.send(msgs[node.node_id])
-                except (OSError, ValueError):
-                    self._mark_down(node)
-                    crashed.append(node.node_id)
-                    continue
-                sent.append(node)
-            for node in sent:
-                try:
-                    tag, payload = node.conn.recv()
-                except (EOFError, OSError):
-                    self._mark_down(node)
-                    crashed.append(node.node_id)
-                    continue
-                if tag == "err":
-                    remote = remote or payload
-                else:
-                    replies[node.node_id] = payload
-            if remote is not None:
-                raise remote
-            return replies, crashed
-        finally:
-            for node in reversed(nodes):
-                node.lock.release()
+        return {nid: self._pool.is_up(nid) for nid in self.node_ids}
 
     def _exchange_live(self, msg: tuple) -> Dict[int, Any]:
         """The same message to every live node; crashed nodes dropped."""
-        replies, _ = self._exchange({nid: msg for nid in self._live_ids()})
+        self._ensure_open()
+        replies, _ = self._pool.exchange(
+            {nid: msg for nid in self._pool.up_ids()}
+        )
         return replies
 
     def _count(self, **deltas: int) -> None:
@@ -354,23 +201,11 @@ class ClusterCacheService:
 
     def _live_owners(self, key: Hashable) -> List[int]:
         return [nid for nid in self.owners_for(key)
-                if self._node_alive(nid)]
+                if self._pool.is_up(nid)]
 
     # ------------------------------------------------------------------
     # The service surface
     # ------------------------------------------------------------------
-    def get(self, key: Hashable, default: Any = None) -> Any:
-        return self.get_many([key], default)[0]
-
-    def set(self, key: Hashable, value: Any, ttl: Any = _UNSET,
-            size: int = 1) -> bool:
-        if ttl is _UNSET:
-            return self.set_many([(key, value)], size=size)[0]
-        return self.set_many([(key, value)], ttl=ttl, size=size)[0]
-
-    def delete(self, key: Hashable) -> bool:
-        return self.delete_many([key])[0]
-
     def get_many(self, keys: Iterable[Hashable],
                  default: Any = None) -> List[Any]:
         """Batched replica-walking get with failover and read-repair.
@@ -403,7 +238,7 @@ class ClusterCacheService:
                 owners = owner_lists[pos]
                 cur = cursors[pos]
                 while (cur < len(owners)
-                       and not self._node_alive(owners[cur])):
+                       and not self._pool.is_up(owners[cur])):
                     skipped_dead[pos] = True
                     cur += 1
                 cursors[pos] = cur
@@ -411,7 +246,7 @@ class ClusterCacheService:
                     groups.setdefault(owners[cur], []).append(pos)
             if not groups:
                 break
-            replies, _ = self._exchange({
+            replies, _ = self._pool.exchange({
                 nid: ("get_many", [keys[p] for p in positions], miss)
                 for nid, positions in groups.items()
             })
@@ -440,12 +275,12 @@ class ClusterCacheService:
             if hit[pos] and missed_on[pos]:
                 repaired += 1
                 for nid in missed_on[pos]:
-                    if self._node_alive(nid):
+                    if self._pool.is_up(nid):
                         repairs.setdefault(nid, []).append(
                             (keys[pos], results[pos])
                         )
         if repairs:
-            self._exchange({
+            self._pool.exchange({
                 nid: ("set_many", False, None, 1, items)
                 for nid, items in repairs.items()
             })
@@ -480,43 +315,11 @@ class ClusterCacheService:
         if ttl is not _UNSET and ttl is not None and ttl < 0:
             raise ValueError(f"ttl must be >= 0, got {ttl}")
         has_ttl = ttl is not _UNSET
-        n = len(items)
-        owner_live: List[List[int]] = []
-        skipped_dead = 0
-        groups: Dict[int, List[int]] = {}
-        for pos, (key, _value) in enumerate(items):
-            owners = self.owners_for(key)
-            live = [nid for nid in owners if self._node_alive(nid)]
-            if len(live) < len(owners):
-                skipped_dead += 1
-            owner_live.append(live)
-            for nid in live:
-                groups.setdefault(nid, []).append(pos)
-        replies: Dict[int, Any] = {}
-        if groups:
-            replies, _ = self._exchange({
-                nid: ("set_many", has_ttl, (ttl if has_ttl else None),
-                      size, [items[p] for p in positions])
-                for nid, positions in groups.items()
-            })
-        per_node: Dict[int, Dict[int, bool]] = {
-            nid: dict(zip(groups[nid], replies[nid]))
-            for nid in replies
-        }
-        results: List[bool] = [False] * n
-        degraded = 0
-        for pos in range(n):
-            reply = None
-            for nid in owner_live[pos]:
-                if nid in per_node and pos in per_node[nid]:
-                    reply = per_node[nid][pos]
-                    break
-            if reply is None:
-                degraded += 1
-            else:
-                results[pos] = reply
-        self._count(failovers=skipped_dead, degraded_ops=degraded)
-        return results
+        answers = self._fan_out([key for key, _ in items], lambda positions: (
+            "set_many", has_ttl, (ttl if has_ttl else None), size,
+            [items[p] for p in positions],
+        ))
+        return [replies[0] if replies else False for replies in answers]
 
     def delete_many(self, keys: Iterable[Hashable]) -> List[bool]:
         """Batched delete from all live owners; True if *any* replica
@@ -525,47 +328,50 @@ class ClusterCacheService:
         if not keys:
             return []
         self._ensure_open()
-        n = len(keys)
+        answers = self._fan_out(keys, lambda positions: (
+            "delete_many", [keys[p] for p in positions]
+        ))
+        return [any(replies) for replies in answers]
+
+    def _fan_out(self, keys: List[Hashable], make_msg) -> List[List[Any]]:
+        """Send every key to **all** its live owners, one message per
+        node built by ``make_msg(positions)``.
+
+        Returns, per key, the replies of the owners that survived the
+        exchange, in failover order.  Keys that skipped a dead owner
+        count as failovers; keys no owner answered count as degraded.
+        """
         owner_live: List[List[int]] = []
         skipped_dead = 0
         groups: Dict[int, List[int]] = {}
         for pos, key in enumerate(keys):
             owners = self.owners_for(key)
-            live = [nid for nid in owners if self._node_alive(nid)]
+            live = [nid for nid in owners if self._pool.is_up(nid)]
             if len(live) < len(owners):
                 skipped_dead += 1
             owner_live.append(live)
             for nid in live:
                 groups.setdefault(nid, []).append(pos)
-        replies: Dict[int, Any] = {}
-        if groups:
-            replies, _ = self._exchange({
-                nid: ("delete_many", [keys[p] for p in positions])
-                for nid, positions in groups.items()
-            })
-        per_node: Dict[int, Dict[int, bool]] = {
-            nid: dict(zip(groups[nid], replies[nid]))
-            for nid in replies
+        replies, _ = self._pool.exchange({
+            nid: make_msg(positions) for nid, positions in groups.items()
+        })
+        per_node = {
+            nid: dict(zip(groups[nid], replies[nid])) for nid in replies
         }
-        results: List[bool] = [False] * n
-        degraded = 0
-        for pos in range(n):
-            answered = False
-            for nid in owner_live[pos]:
-                if nid in per_node and pos in per_node[nid]:
-                    answered = True
-                    results[pos] = results[pos] or per_node[nid][pos]
-            if not answered:
-                degraded += 1
-        self._count(failovers=skipped_dead, degraded_ops=degraded)
-        return results
+        answers = [
+            [per_node[nid][pos] for nid in live if nid in per_node]
+            for pos, live in enumerate(owner_live)
+        ]
+        self._count(
+            failovers=skipped_dead,
+            degraded_ops=sum(1 for replies in answers if not replies),
+        )
+        return answers
 
     def __contains__(self, key: Hashable) -> bool:
         self._ensure_open()
         for nid in self.owners_for(key):
-            if not self._node_alive(nid):
-                continue
-            replies, _ = self._exchange({nid: ("contains", key)})
+            replies, _ = self._pool.exchange({nid: ("contains", key)})
             if replies.get(nid):
                 return True
         return False
@@ -599,8 +405,8 @@ class ClusterCacheService:
         aggregate["policy"] = self.policy_name
         aggregate["capacity"] = self.capacity
         aggregate["backend"] = "cluster"
-        aggregate["num_shards"] = len(self._nodes)
-        aggregate["num_nodes"] = len(self._nodes)
+        aggregate["num_shards"] = len(self.node_ids)
+        aggregate["num_nodes"] = len(self.node_ids)
         aggregate["nodes_up"] = len(live)
         aggregate["replication"] = self.replication
         aggregate["vnodes"] = self.ring.vnodes
@@ -617,7 +423,7 @@ class ClusterCacheService:
         node — its counters died with it)."""
         replies = self._exchange_live(("stats",))
         out = []
-        for nid in sorted(self._nodes):
+        for nid in self.node_ids:
             s = replies.get(nid)
             out.append(0 if s is None
                        else s["gets"] + s["sets"] + s["deletes"])
@@ -631,12 +437,14 @@ class ClusterCacheService:
         return imbalance_factor(ops) if ops else 1.0
 
     def _wire_metrics(self, registry) -> None:
+        for node_id in self.node_ids:
+            self._register_node_gauge(node_id)
         registry.gauge(
             "repro_cluster_nodes", "Ring members (live or not)."
-        ).set_function(lambda: float(len(self._nodes)))
+        ).set_function(lambda: float(len(self.node_ids)))
         registry.gauge(
             "repro_cluster_nodes_up", "Nodes currently serving."
-        ).set_function(lambda: float(len(self._live_ids())))
+        ).set_function(lambda: float(len(self._pool.up_ids())))
         registry.gauge(
             "repro_cluster_replication", "Configured copies per key."
         ).set_function(lambda: float(self.replication))
@@ -656,7 +464,7 @@ class ClusterCacheService:
             "1 while the node process serves traffic.",
             {"node": str(node_id)},
         ).set_function(
-            lambda nid=node_id: 1.0 if self._node_alive(nid) else 0.0
+            lambda nid=node_id: 1.0 if self._pool.is_up(nid) else 0.0
         )
 
     # ------------------------------------------------------------------
@@ -694,7 +502,7 @@ class ClusterCacheService:
                           key=lambda k: (stable_key_hash(k), repr(k))):
             walk = self.ring.nodes_for(key, ring_size)
             desired = [nid for nid in walk
-                       if self._node_alive(nid)][:self.replication]
+                       if self._pool.is_up(nid)][:self.replication]
             holders = [nid for nid in walk
                        if nid in holding and key in holding[nid]]
             if not holders:
@@ -711,12 +519,12 @@ class ClusterCacheService:
                 if nid not in desired:
                     deletes.setdefault(nid, []).append(key)
         if imports:
-            self._exchange({
+            self._pool.exchange({
                 nid: ("import", entries)
                 for nid, entries in imports.items()
             })
         if deletes:
-            self._exchange({
+            self._pool.exchange({
                 nid: ("delete_many", keys)
                 for nid, keys in deletes.items()
             })
@@ -728,9 +536,11 @@ class ClusterCacheService:
         its id.  Call :meth:`rebalance` afterwards to move its ~1/N
         share of keys onto it."""
         self._ensure_open()
-        node_id = max(self._nodes) + 1
-        self._spawn_node(node_id, self._node_share, None)
+        node_id = max(self.node_ids) + 1
+        self._pool.spawn({node_id: (self._node_share, None)})
         self.ring.add_node(node_id)
+        if self._registry is not None:
+            self._register_node_gauge(node_id)
         return node_id
 
     def restart_node(self, node_id: int) -> None:
@@ -739,16 +549,11 @@ class ClusterCacheService:
         keys; a subsequent :meth:`rebalance` (or read-repair traffic)
         refills it.  No fault plan carries over."""
         self._ensure_open()
-        node = self._nodes.get(node_id)
-        if node is None:
+        if node_id not in self.node_ids:
             raise ValueError(f"unknown node id {node_id}")
-        if node.alive:
+        if self._pool.is_up(node_id):
             raise ValueError(f"node {node_id} is still alive")
-        try:
-            node.proc.close()
-        except ValueError:
-            pass
-        self._spawn_node(node_id, node.capacity, None)
+        self._pool.restart(node_id)
 
     def remove_node(self, node_id: int) -> int:
         """Gracefully decommission a node; returns entries re-homed.
@@ -760,14 +565,13 @@ class ClusterCacheService:
         replicas.)
         """
         self._ensure_open()
-        node = self._nodes.get(node_id)
-        if node is None:
+        if node_id not in self.node_ids:
             raise ValueError(f"unknown node id {node_id}")
         if len(self.ring) <= 1:
             raise ValueError("cannot remove the last ring node")
         entries: List[tuple] = []
-        if node.alive:
-            replies, _ = self._exchange({node_id: ("export",)})
+        if self._pool.is_up(node_id):
+            replies, _ = self._pool.exchange({node_id: ("export",)})
             entries = replies.get(node_id, [])
         self.ring.remove_node(node_id)
         imports: Dict[int, List[tuple]] = {}
@@ -779,13 +583,11 @@ class ClusterCacheService:
                     )
         moved = sum(len(v) for v in imports.values())
         if imports:
-            self._exchange({
+            self._pool.exchange({
                 nid: ("import", batch)
                 for nid, batch in imports.items()
             })
-        self._shutdown_node(node)
-        del self._nodes[node_id]
-        self._handshakes.pop(node_id, None)
+        self._pool.stop(node_id)
         self._count(rebalanced_keys=moved)
         return moved
 
@@ -800,58 +602,10 @@ class ClusterCacheService:
         self.sweep()
         return self.stats()
 
-    def close(self, timeout: float = 5.0) -> None:
-        """Stop every node; idempotent, safe after crashes."""
-        if self._closed:
-            return
-        self._closed = True
-        self._teardown(timeout)
-
-    def _teardown(self, timeout: float = 5.0) -> None:
-        for nid in sorted(self._nodes):
-            node = self._nodes[nid]
-            with node.lock:
-                if node.alive:
-                    try:
-                        node.conn.send(("close",))
-                    except (OSError, ValueError, BrokenPipeError):
-                        pass
-                try:
-                    node.conn.close()
-                except OSError:
-                    pass
-        deadline = time.monotonic() + timeout
-        for node in self._nodes.values():
-            node.proc.join(
-                timeout=max(0.0, deadline - time.monotonic())
-            )
-        for node in self._nodes.values():
-            if node.proc.is_alive():
-                node.proc.terminate()
-                node.proc.join(timeout=1.0)
-        for node in self._nodes.values():
-            node.alive = False
-            try:
-                node.proc.close()
-            except ValueError:
-                pass
-
-    def __enter__(self) -> "ClusterCacheService":
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.close()
-
-    def __del__(self) -> None:  # best-effort; never raise from GC
-        try:
-            self.close(timeout=1.0)
-        except Exception:
-            pass
-
     def __repr__(self) -> str:
-        state = "closed" if self._closed else "open"
+        state = "closed" if self._pool.closed else "open"
         return (
             f"ClusterCacheService({self.policy_name}, "
-            f"capacity={self.capacity}, nodes={len(self._nodes)}, "
+            f"capacity={self.capacity}, nodes={len(self.node_ids)}, "
             f"replication={self.replication}, {state})"
         )

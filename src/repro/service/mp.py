@@ -32,8 +32,10 @@ The parent<->worker channel is pluggable
 (default) keeps the PR 5 duplex pipes, ``transport="shm"`` switches to
 the :mod:`~repro.service.shm` shared-memory ring buffers — same object
 protocol, same differential stats parity, an order of magnitude less
-per-message cost on multicore hosts.  The worker loop, crash watchdog,
-and metrics merge below are transport-agnostic.
+per-message cost on multicore hosts.  The worker loop, the
+:class:`WorkerPool` that spawns, exchanges with and tears down workers
+(for this backend and the cluster's), and the metrics merge below are
+transport-agnostic.
 
 Lifecycle and crash safety
 --------------------------
@@ -47,12 +49,12 @@ Lifecycle and crash safety
   a shutdown word inside every blocking wait and publishes a heartbeat
   the parent can read.  No leaked processes either way.
 * :meth:`MPCacheService.close` (also ``__exit__`` and a best-effort
-  ``__del__``) asks each worker out, joins with a deadline, then
-  terminates — and finally kills — stragglers before releasing the
-  channels; it is idempotent, safe after a worker crash, and never
-  blocks on a channel lock held by a thread stuck on a wedged worker
-  (it signals the transport instead and lets terminate break the
-  deadlock).
+  ``__del__``) runs :meth:`WorkerPool.close`: it asks each worker out,
+  joins with a deadline, then terminates — and finally kills —
+  stragglers before releasing the channels; it is idempotent, safe
+  after a worker crash, and never blocks on a channel lock held by a
+  thread stuck on a wedged worker (it signals the transport instead
+  and lets terminate break the deadlock).
 * A worker that dies mid-operation surfaces as
   :class:`WorkerCrashedError` on the operation that touched it, never
   as a hang.  Deterministic crash tests inject the
@@ -87,7 +89,6 @@ from repro.service.sharded import (
     stable_key_hash,
 )
 from repro.service.transport import (
-    TRANSPORTS,
     Transport,
     TransportClosedError,
     create_transport,
@@ -95,9 +96,11 @@ from repro.service.transport import (
 
 __all__ = [
     "MPCacheService",
+    "PoolService",
     "ServiceClosedError",
     "TransportClosedError",
     "WorkerCrashedError",
+    "WorkerPool",
 ]
 
 _UNSET = object()
@@ -253,7 +256,329 @@ def _send_error(conn, exc: BaseException) -> None:
             pass
 
 
-class MPCacheService:
+class _Worker:
+    """Parent-side record for one worker process."""
+
+    __slots__ = ("chan", "proc", "lock", "capacity", "up", "pid",
+                 "exitcode")
+
+    def __init__(self, chan: Transport, proc, capacity: int) -> None:
+        self.chan = chan
+        self.proc = proc
+        self.lock = threading.Lock()
+        self.capacity = capacity
+        self.up = True
+        self.pid: Optional[int] = proc.pid
+        self.exitcode: Optional[int] = None
+
+
+class WorkerPool:
+    """Worker processes by id: spawn, exchange, liveness, teardown.
+
+    The one process core under :class:`MPCacheService` (modulo
+    placement) and :class:`~repro.cluster.service.ClusterCacheService`
+    (ring placement).  Each worker runs :func:`_worker_main` behind its
+    own :class:`~repro.service.transport.Transport` and lock.  What a
+    crash means belongs to the caller: :meth:`exchange` never raises
+    for a dead worker, it marks it down and reports its id.
+    """
+
+    def __init__(
+        self,
+        policy: str,
+        *,
+        transport: str = "pipe",
+        transport_options: Optional[Dict[str, Any]] = None,
+        start_method: Optional[str] = None,
+        collect_metrics: bool = False,
+        service_kwargs: Optional[Dict[str, Any]] = None,
+        name: str = "mp-cache-worker",
+    ) -> None:
+        self._ctx = multiprocessing.get_context(
+            start_method or _default_start_method()
+        )
+        self._policy = policy
+        self._transport = transport
+        self._transport_options = transport_options
+        self._collect_metrics = collect_metrics
+        self._service_kwargs = dict(service_kwargs or {})
+        self._name = name
+        self._workers: Dict[int, _Worker] = {}
+        self.closed = False
+
+    def spawn(
+        self, specs: Dict[int, Tuple[int, Any]]
+    ) -> Dict[int, Dict[str, Any]]:
+        """Start one worker per ``{worker_id: (capacity, fault_plan)}``
+        and return each handshake, by id.
+
+        All processes start before the first handshake is awaited, so
+        they boot concurrently.  An id naming a down worker restarts it
+        in place, with a fresh process, channel and lock.  A worker
+        whose handshake fails (constructor error or early death) is
+        left down, and the first such error is raised once every
+        handshake has been read.
+        """
+        ids = sorted(specs)
+        fresh: List[_Worker] = []
+        try:
+            for w in ids:
+                capacity, fault_plan = specs[w]
+                old = self._workers.get(w)
+                if old is not None:
+                    self._release(old)
+                chan = create_transport(
+                    self._transport, self._ctx, self._transport_options
+                )
+                try:
+                    proc = self._ctx.Process(
+                        target=_worker_main,
+                        args=(
+                            chan.worker_endpoint(), w, capacity,
+                            self._policy, dict(self._service_kwargs),
+                            self._collect_metrics, fault_plan,
+                            self._transport,
+                        ),
+                        name=f"{self._name}-{w}",
+                        daemon=True,
+                    )
+                    proc.start()
+                except BaseException:
+                    chan.close()  # never orphan a shm segment
+                    raise
+                chan.after_start(proc)
+                worker = _Worker(chan, proc, capacity)
+                # Held until the handshake is read, so that no exchange
+                # can take the handshake for its reply.
+                worker.lock.acquire()
+                fresh.append(worker)
+                self._workers[w] = worker
+            infos: Dict[int, Dict[str, Any]] = {}
+            error: Optional[BaseException] = None
+            for w, worker in zip(ids, fresh):
+                try:
+                    tag, payload = worker.chan.recv()
+                except (EOFError, OSError):
+                    tag, payload = "err", None
+                if tag == "ok":
+                    infos[w] = payload
+                else:
+                    self._mark_down(worker)
+                    error = error or payload or self.crash_error(w)
+        finally:
+            for worker in fresh:
+                worker.lock.release()
+        if error is not None:
+            raise error
+        return infos
+
+    def restart(self, worker_id: int) -> Dict[str, Any]:
+        """Respawn a down worker, empty, with its old capacity and no
+        fault plan."""
+        capacity = self._workers[worker_id].capacity
+        return self.spawn({worker_id: (capacity, None)})[worker_id]
+
+    def worker_ids(self) -> List[int]:
+        """Every worker's id, sorted (up or down)."""
+        return sorted(self._workers)
+
+    def up_ids(self) -> List[int]:
+        return sorted(w for w, worker in self._workers.items() if worker.up)
+
+    def is_up(self, worker_id: int) -> bool:
+        worker = self._workers.get(worker_id)
+        return worker is not None and worker.up
+
+    def channel(self, worker_id: int) -> Transport:
+        return self._workers[worker_id].chan
+
+    def crash_error(self, worker_id: int) -> WorkerCrashedError:
+        worker = self._workers[worker_id]
+        return WorkerCrashedError(worker_id, worker.pid, worker.exitcode)
+
+    @staticmethod
+    def _mark_down(worker: _Worker) -> None:
+        """Record a worker death and release its channel; never raises."""
+        if not worker.up:
+            return
+        worker.up = False
+        try:
+            worker.proc.join(timeout=1.0)
+            worker.exitcode = worker.proc.exitcode
+        except ValueError:
+            pass  # Process handle already released by a teardown
+        try:
+            worker.chan.close()
+        except OSError:
+            pass
+
+    def exchange(
+        self, msgs: Dict[int, tuple]
+    ) -> Tuple[Dict[int, Any], List[int]]:
+        """One message per worker; returns ``(replies, crashed_ids)``.
+
+        Locks are taken in id order (deadlock-free against concurrent
+        callers) and every send completes before the first receive, so
+        the involved workers run concurrently.  A worker that is down,
+        unknown, or dies mid-exchange is marked down and listed in
+        ``crashed_ids``; the other replies are still drained, so the
+        surviving channels stay in lockstep.  A remote application
+        error (bad size, removal unsupported) never marks a worker
+        down: the first one is raised after the drain.
+        """
+        workers = [(w, self._workers.get(w)) for w in sorted(msgs)]
+        held = [worker for _, worker in workers if worker is not None]
+        for worker in held:
+            worker.lock.acquire()
+        try:
+            replies: Dict[int, Any] = {}
+            crashed: List[int] = []
+            sent: List[Tuple[int, _Worker]] = []
+            remote: Optional[BaseException] = None
+            for w, worker in workers:
+                if worker is not None and worker.up:
+                    try:
+                        worker.chan.send(msgs[w])
+                        sent.append((w, worker))
+                        continue
+                    except (OSError, ValueError):
+                        self._mark_down(worker)
+                crashed.append(w)
+            for w, worker in sent:
+                try:
+                    tag, payload = worker.chan.recv()
+                except (EOFError, OSError):
+                    self._mark_down(worker)
+                    crashed.append(w)
+                    continue
+                if tag == "err":
+                    remote = remote or payload
+                else:
+                    replies[w] = payload
+            if remote is not None:
+                raise remote
+            return replies, crashed
+        finally:
+            for worker in reversed(held):
+                worker.lock.release()
+
+    def stop(self, worker_id: int) -> None:
+        """Stop one worker for good and forget its id."""
+        self._stop([self._workers.pop(worker_id)], timeout=2.0)
+
+    def close(self, timeout: float = 5.0) -> None:
+        """Stop every worker; idempotent, safe after crashes.
+
+        Asks each worker to exit, joins to a deadline, then
+        terminates — and as a last resort kills — anything still
+        alive, and only then releases the channels and Process
+        handles.  A channel whose lock is held by a thread stuck on a
+        wedged worker is *signalled*, not waited on: teardown must not
+        inherit the wedge, and terminating the worker is what breaks
+        the stuck thread out (its blocking read reports a crash).
+        """
+        if self.closed:
+            return
+        self.closed = True
+        self._stop(list(self._workers.values()), timeout)
+
+    def _stop(self, workers: List[_Worker], timeout: float) -> None:
+        deadline = time.monotonic() + timeout
+        # Phase 1: ask every worker out.  The channel lock may be held
+        # by a thread blocked on a worker that will never reply — use
+        # a bounded acquire and fall back to the transport's
+        # non-blocking close signal rather than deadlocking here.
+        for worker in workers:
+            worker.up = False
+            if worker.lock.acquire(timeout=0.1):
+                try:
+                    worker.chan.request_close()
+                    worker.chan.signal_close()
+                finally:
+                    worker.lock.release()
+            else:
+                worker.chan.signal_close()
+        # Phase 2: join politely, then escalate.  terminate() (SIGTERM)
+        # also breaks any parent thread blocked on that worker's
+        # channel: the pipe delivers EOF, the shm wait notices the
+        # death on its next liveness poll.
+        for worker in workers:
+            worker.proc.join(timeout=max(0.0, deadline - time.monotonic()))
+        for worker in workers:
+            if worker.proc.is_alive():
+                worker.proc.terminate()
+                worker.proc.join(timeout=1.0)
+        for worker in workers:
+            if worker.proc.is_alive():
+                worker.proc.kill()
+                worker.proc.join(timeout=1.0)
+        # Phase 3: release channel resources (for shm this unlinks the
+        # segment) and the Process handles.
+        for worker in workers:
+            self._release(worker)
+
+    @staticmethod
+    def _release(worker: _Worker) -> None:
+        try:
+            worker.chan.close()
+        except OSError:
+            pass
+        try:
+            # Release the Process object's pipe/sentinel resources now
+            # rather than at GC time (no leaked fds or semaphores).
+            worker.proc.close()
+        except ValueError:
+            pass  # still alive after kill: give up quietly
+
+
+class PoolService:
+    """The surface both :class:`WorkerPool` backends share: single-key
+    ops as one-element batches, and the pool's lifecycle."""
+
+    _pool: WorkerPool
+
+    def get(self, key: Hashable, default: Any = None) -> Any:
+        return self.get_many([key], default)[0]
+
+    def set(
+        self,
+        key: Hashable,
+        value: Any,
+        ttl: Any = _UNSET,
+        size: int = 1,
+    ) -> bool:
+        if ttl is _UNSET:
+            return self.set_many([(key, value)], size=size)[0]
+        return self.set_many([(key, value)], ttl=ttl, size=size)[0]
+
+    def delete(self, key: Hashable) -> bool:
+        return self.delete_many([key])[0]
+
+    def _ensure_open(self) -> None:
+        if self._pool.closed:
+            raise ServiceClosedError(
+                f"{type(self).__name__} is closed; build a new one"
+            )
+
+    def close(self, timeout: float = 5.0) -> None:
+        """Stop every worker; idempotent, safe after crashes and bounded
+        even with a wedged worker (see :meth:`WorkerPool.close`)."""
+        self._pool.close(timeout)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info: Any) -> None:
+        self.close()
+
+    def __del__(self) -> None:  # best-effort; never raise from GC
+        try:
+            self.close(timeout=1.0)
+        except Exception:
+            pass
+
+
+class MPCacheService(PoolService):
     """N shard worker *processes* behind the one-service API.
 
     Exposes the same surface as
@@ -312,53 +637,31 @@ class MPCacheService:
         fault_plans: Optional[Dict[int, Any]] = None,
         **service_kwargs: Any,
     ) -> None:
-        if transport not in TRANSPORTS:
-            raise ValueError(
-                f"unknown mp transport {transport!r}; "
-                f"expected one of {TRANSPORTS}"
-            )
         capacities = partition_capacity(capacity, num_workers)
         self.capacity = capacity
         self.num_workers = num_workers
         self.transport = transport
         self.collect_metrics = collect_metrics
-        self._closed = False
-        ctx = multiprocessing.get_context(
-            start_method or _default_start_method()
+        self._pool = WorkerPool(
+            policy,
+            transport=transport,
+            transport_options=transport_options,
+            start_method=start_method,
+            collect_metrics=collect_metrics,
+            service_kwargs=service_kwargs,
         )
-        self._channels: List[Transport] = []
-        self._procs: List[Any] = []
-        self._locks = [threading.Lock() for _ in range(num_workers)]
         try:
-            for i, cap in enumerate(capacities):
-                chan = create_transport(transport, ctx, transport_options)
-                try:
-                    proc = ctx.Process(
-                        target=_worker_main,
-                        args=(
-                            chan.worker_endpoint(), i, cap, policy,
-                            dict(service_kwargs), collect_metrics,
-                            (fault_plans or {}).get(i), transport,
-                        ),
-                        name=f"mp-cache-worker-{i}",
-                        daemon=True,
-                    )
-                    proc.start()
-                except BaseException:
-                    chan.close()  # never orphan a shm segment
-                    raise
-                chan.after_start(proc)
-                self._channels.append(chan)
-                self._procs.append(proc)
             # Startup handshake doubles as constructor error propagation.
-            infos = [self._recv(i) for i in range(num_workers)]
+            infos = self._pool.spawn({
+                i: (cap, (fault_plans or {}).get(i))
+                for i, cap in enumerate(capacities)
+            })
         except BaseException:
-            self._closed = True
-            self._teardown()
+            self._pool.close()
             raise
         self.policy_name = infos[0]["policy_name"]
         self.supports_removal = infos[0]["supports_removal"]
-        self.worker_pids = [info["pid"] for info in infos]
+        self.worker_pids = [infos[i]["pid"] for i in range(num_workers)]
 
     # ------------------------------------------------------------------
     # Routing
@@ -367,87 +670,37 @@ class MPCacheService:
         """The worker index ``key`` routes to (stable across restarts)."""
         return stable_key_hash(key) % self.num_workers
 
-    def _group_positions(self, keys: List[Hashable]) -> Dict[int, List[int]]:
+    def _scatter(self, keys: List[Hashable], make_msg) -> List[Any]:
+        """Send ``make_msg(positions)`` to each involved worker, one
+        message per worker; returns the replies in key order."""
         groups: Dict[int, List[int]] = {}
         for pos, key in enumerate(keys):
             groups.setdefault(self.shard_for(key), []).append(pos)
-        return groups
+        replies = self._exchange({
+            w: make_msg(positions) for w, positions in groups.items()
+        })
+        results: List[Any] = [None] * len(keys)
+        for w, positions in groups.items():
+            for p, v in zip(positions, replies[w]):
+                results[p] = v
+        return results
 
     # ------------------------------------------------------------------
     # Channel plumbing
     # ------------------------------------------------------------------
-    def _ensure_open(self) -> None:
-        if self._closed:
-            raise ServiceClosedError(
-                "MPCacheService is closed; build a new one"
-            )
-
-    def _crashed(self, worker: int) -> WorkerCrashedError:
-        proc = self._procs[worker]
-        try:
-            proc.join(timeout=1.0)
-            pid, exitcode = proc.pid, proc.exitcode
-        except ValueError:
-            # The Process handle was already released by a concurrent
-            # teardown; fall back to the handshake-recorded pid.
-            pids = getattr(self, "worker_pids", None)
-            pid = pids[worker] if pids else None
-            exitcode = None
-        return WorkerCrashedError(worker, pid, exitcode)
-
-    def _recv(self, worker: int) -> Any:
-        """One raw reply from ``worker``; raises remote errors/crashes."""
-        try:
-            tag, payload = self._channels[worker].recv()
-        except (EOFError, OSError) as exc:
-            raise self._crashed(worker) from exc
-        if tag == "err":
-            raise payload
-        return payload
+    @property
+    def _channels(self) -> List[Transport]:
+        """Each worker's transport, in worker order."""
+        return [self._pool.channel(w) for w in range(self.num_workers)]
 
     def _exchange(self, msgs: Dict[int, tuple]) -> Dict[int, Any]:
-        """Send one message per worker, then await every reply.
-
-        Locks are acquired in worker-index order (deadlock-free against
-        concurrent callers) and all sends complete before the first
-        receive, so the involved workers run their sub-batches
-        concurrently.  If a worker crashes mid-exchange the remaining
-        replies are still drained — the surviving channels stay in
-        sync — and the crash is raised after the drain.
-        """
+        """:meth:`WorkerPool.exchange`, with a crash raised, not
+        reported: one dead worker loses its shard's contents."""
         self._ensure_open()
-        idxs = sorted(msgs)
-        for w in idxs:
-            self._locks[w].acquire()
-        try:
-            crash: Optional[WorkerCrashedError] = None
-            remote: Optional[BaseException] = None
-            results: Dict[int, Any] = {}
-            for w in idxs:
-                try:
-                    self._channels[w].send(msgs[w])
-                except (OSError, ValueError) as exc:
-                    if crash is None:
-                        crash = self._crashed(w)
-                        crash.__cause__ = exc
-                    msgs = {k: v for k, v in msgs.items() if k != w}
-            for w in idxs:
-                if w not in msgs:
-                    continue
-                try:
-                    results[w] = self._recv(w)
-                except WorkerCrashedError as exc:
-                    crash = crash or exc
-                except BaseException as exc:
-                    remote = remote or exc
-            if crash is not None:
-                raise crash
-            if remote is not None:
-                raise remote
-            return results
-        finally:
-            for w in reversed(idxs):
-                self._locks[w].release()
+        replies, crashed = self._pool.exchange(msgs)
+        if crashed:
+            raise self._pool.crash_error(crashed[0])
+        return replies
 
     def _exchange_all(self, msg: tuple) -> List[Any]:
         """The same message to every worker; replies in worker order."""
@@ -457,39 +710,15 @@ class MPCacheService:
     # ------------------------------------------------------------------
     # The service surface
     # ------------------------------------------------------------------
-    def get(self, key: Hashable, default: Any = None) -> Any:
-        return self.get_many([key], default)[0]
-
-    def set(
-        self,
-        key: Hashable,
-        value: Any,
-        ttl: Any = _UNSET,
-        size: int = 1,
-    ) -> bool:
-        if ttl is _UNSET:
-            return self.set_many([(key, value)], size=size)[0]
-        return self.set_many([(key, value)], ttl=ttl, size=size)[0]
-
-    def delete(self, key: Hashable) -> bool:
-        return self.delete_many([key])[0]
-
     def get_many(self, keys: Iterable[Hashable],
                  default: Any = None) -> List[Any]:
         """Batched get: **one pipe round-trip per involved worker**."""
         keys = list(keys)
         if not keys:
             return []
-        groups = self._group_positions(keys)
-        replies = self._exchange({
-            w: ("get_many", [keys[p] for p in positions], default)
-            for w, positions in groups.items()
-        })
-        results: List[Any] = [default] * len(keys)
-        for w, positions in groups.items():
-            for p, v in zip(positions, replies[w]):
-                results[p] = v
-        return results
+        return self._scatter(keys, lambda positions: (
+            "get_many", [keys[p] for p in positions], default
+        ))
 
     def set_many(
         self,
@@ -508,33 +737,19 @@ class MPCacheService:
         if ttl is not _UNSET and ttl is not None:
             if ttl < 0:
                 raise ValueError(f"ttl must be >= 0, got {ttl}")
-        groups = self._group_positions([key for key, _ in items])
         has_ttl = ttl is not _UNSET
-        replies = self._exchange({
-            w: ("set_many", has_ttl, (ttl if has_ttl else None), size,
-                [items[p] for p in positions])
-            for w, positions in groups.items()
-        })
-        results: List[bool] = [False] * len(items)
-        for w, positions in groups.items():
-            for p, stored in zip(positions, replies[w]):
-                results[p] = stored
-        return results
+        return self._scatter([key for key, _ in items], lambda positions: (
+            "set_many", has_ttl, (ttl if has_ttl else None), size,
+            [items[p] for p in positions],
+        ))
 
     def delete_many(self, keys: Iterable[Hashable]) -> List[bool]:
         keys = list(keys)
         if not keys:
             return []
-        groups = self._group_positions(keys)
-        replies = self._exchange({
-            w: ("delete_many", [keys[p] for p in positions])
-            for w, positions in groups.items()
-        })
-        results: List[bool] = [False] * len(keys)
-        for w, positions in groups.items():
-            for p, deleted in zip(positions, replies[w]):
-                results[p] = deleted
-        return results
+        return self._scatter(keys, lambda positions: (
+            "delete_many", [keys[p] for p in positions]
+        ))
 
     def sweep(self, max_checks: Optional[int] = None) -> int:
         return sum(self._exchange_all(("sweep", max_checks)))
@@ -601,84 +816,8 @@ class MPCacheService:
                 merged += merge_export_dict(registry, snapshot)
         return merged
 
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
-    def close(self, timeout: float = 5.0) -> None:
-        """Stop every worker; idempotent, safe after crashes.
-
-        Asks each live worker to exit, joins to a deadline, then
-        terminates — and as a last resort kills — anything still
-        alive, and only then releases the channels and Process
-        handles.  A channel whose lock is held by a thread stuck on a
-        wedged worker is *signalled*, not waited on: teardown must not
-        inherit the wedge, and terminating the worker is what breaks
-        the stuck thread out (its blocking read fails over to
-        :class:`WorkerCrashedError`).
-        """
-        if self._closed:
-            return
-        self._closed = True
-        self._teardown(timeout)
-
-    def _teardown(self, timeout: float = 5.0) -> None:
-        deadline = time.monotonic() + timeout
-        # Phase 1: ask every worker out.  The channel lock may be held
-        # by a thread blocked on a worker that will never reply — use
-        # a bounded acquire and fall back to the transport's
-        # non-blocking close signal rather than deadlocking here.
-        for w, chan in enumerate(self._channels):
-            if self._locks[w].acquire(timeout=0.1):
-                try:
-                    chan.request_close()
-                    chan.signal_close()
-                finally:
-                    self._locks[w].release()
-            else:
-                chan.signal_close()
-        # Phase 2: join politely, then escalate.  terminate() (SIGTERM)
-        # also breaks any parent thread blocked on that worker's
-        # channel: the pipe delivers EOF, the shm wait notices the
-        # death on its next liveness poll.
-        for proc in self._procs:
-            proc.join(timeout=max(0.0, deadline - time.monotonic()))
-        for proc in self._procs:
-            if proc.is_alive():
-                proc.terminate()
-                proc.join(timeout=1.0)
-        for proc in self._procs:
-            if proc.is_alive():
-                proc.kill()
-                proc.join(timeout=1.0)
-        # Phase 3: release channel resources (for shm this unlinks the
-        # segment) and the Process handles.
-        for chan in self._channels:
-            try:
-                chan.close()
-            except OSError:
-                pass
-        for proc in self._procs:
-            # Release the Process object's pipe/sentinel resources now
-            # rather than at GC time (no leaked fds or semaphores).
-            try:
-                proc.close()
-            except ValueError:
-                pass  # still alive after kill: give up quietly
-
-    def __enter__(self) -> "MPCacheService":
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.close()
-
-    def __del__(self) -> None:  # best-effort; never raise from GC
-        try:
-            self.close(timeout=1.0)
-        except Exception:
-            pass
-
     def __repr__(self) -> str:
-        state = "closed" if self._closed else "open"
+        state = "closed" if self._pool.closed else "open"
         return (
             f"MPCacheService({self.policy_name}, capacity={self.capacity}, "
             f"workers={self.num_workers}, {state})"

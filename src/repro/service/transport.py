@@ -3,8 +3,9 @@
 :class:`~repro.service.mp.MPCacheService` talks to each shard worker
 through exactly one duplex channel in strict request/response ping-pong
 (one outstanding message per worker, guarded by a parent-side lock).
-This module abstracts *how* those messages move so the worker loop,
-crash watchdog, and metrics merge in ``mp.py`` stay transport-agnostic:
+This module abstracts *how* those messages move so the worker loop and
+the :class:`~repro.service.mp.WorkerPool` (spawn, exchange, crash
+mark-down, teardown) in ``mp.py`` stay transport-agnostic:
 
 * ``pipe`` — :class:`PipeTransport`, the PR 5 default: a duplex
   ``multiprocessing.Pipe`` carrying pickled ``(tag, payload)`` tuples.
@@ -24,8 +25,8 @@ tests.
 
 A transport failure (peer gone, segment torn down) surfaces as
 :class:`TransportClosedError`, an :class:`OSError` subclass — the
-existing ``except (EOFError, OSError)`` crash paths in ``mp.py`` and
-the worker loop handle it without knowing which transport raised.
+``except (EOFError, OSError)`` crash paths in ``WorkerPool`` and the
+worker loop handle it without knowing which transport raised.
 """
 
 from __future__ import annotations
@@ -38,9 +39,9 @@ TRANSPORTS: Tuple[str, ...] = ("pipe", "shm")
 class TransportClosedError(OSError):
     """The peer died or the channel was shut down mid-wait.
 
-    Subclasses :class:`OSError` deliberately: parent-side ``_recv``
-    converts any ``OSError`` into ``WorkerCrashedError``, and the
-    worker loop treats it like pipe EOF (exit quietly).
+    Subclasses :class:`OSError` deliberately: ``WorkerPool`` marks a
+    worker down on any ``OSError`` from its channel, and the worker
+    loop treats it like pipe EOF (exit quietly).
     """
 
 
@@ -50,9 +51,8 @@ class Transport:
     Lifecycle::
 
         t = create_transport("shm", ctx)
-        proc = ctx.Process(target=_worker_main,
-                           args=(t.worker_endpoint(), ...))
-        proc.start()
+        # WorkerPool.spawn starts _worker_main(t.worker_endpoint(), ...)
+        # in a new process, then:
         t.after_start(proc)     # release child-only resources, wire
                                 # liveness to the Process handle
         t.send(msg); reply = t.recv()   # strict ping-pong
