@@ -96,7 +96,11 @@ class McParser:
 
     # ------------------------------------------------------------------
     def _step(self) -> Optional[Tuple]:
-        if self._state == _LINE:
+        """The next complete command, or ``None`` while bytes are
+        missing.  Lines that emit nothing yet (a bare CRLF, a ``set``
+        header awaiting its data block) loop here rather than recurse,
+        so any run of them parses in constant stack depth."""
+        while self._state == _LINE:
             idx = self._buf.find(CRLF)
             if idx < 0:
                 if len(self._buf) > self.max_line:
@@ -104,7 +108,9 @@ class McParser:
                 return None
             line = bytes(self._buf[:idx])
             del self._buf[:idx + 2]
-            return self._parse_line(line)
+            cmd = self._parse_line(line)
+            if cmd is not None:
+                return cmd
         # _DATA / _SWALLOW: the payload plus its CRLF terminator.
         if len(self._buf) < self._need + 2:
             if self._state == _SWALLOW:
@@ -131,9 +137,12 @@ class McParser:
         return ("set", key, flags, exptime, payload, noreply)
 
     def _parse_line(self, line: bytes) -> Optional[Tuple]:
+        """The command a line emits, or ``None`` when it emits nothing
+        yet: a bare CRLF, or a ``set`` header whose data block the
+        parser now awaits."""
         parts = line.split()
         if not parts:
-            return self._step()  # bare CRLF: skip, keep parsing
+            return None  # bare CRLF: skip, keep parsing
         verb = parts[0]
         if verb in (b"get", b"gets"):
             keys = [p.decode("utf-8", "surrogateescape") for p in parts[1:]]
@@ -159,11 +168,11 @@ class McParser:
                 self._need = nbytes
                 self._swallowed = nbytes
                 self._head = (key, noreply)
-                return self._step()
+                return None
             self._state = _DATA
             self._need = nbytes
             self._head = (key, flags, exptime, noreply)
-            return self._step()
+            return None
         if verb == b"delete":
             noreply = parts[-1] == b"noreply"
             fields = parts[1:-1] if noreply else parts[1:]

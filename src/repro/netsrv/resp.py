@@ -167,43 +167,50 @@ class RespParser:
         return payload
 
     def _parse_one(self) -> Optional[List[bytes]]:
-        """One complete command, or ``None`` while bytes are missing."""
-        # Resume an array whose elements are still arriving.
-        if self._pending is not None:
-            while self._remaining:
-                arg = self._parse_bulk()
-                if arg is None:
+        """One complete command, or ``None`` while bytes are missing.
+
+        Frames that yield no command (blank inline lines, ``*0`` and
+        ``*-1``) are skipped in a loop, never by recursion, so any run
+        of them parses in constant stack depth.
+        """
+        while True:
+            # Resume an array whose elements are still arriving.
+            if self._pending is not None:
+                while self._remaining:
+                    arg = self._parse_bulk()
+                    if arg is None:
+                        return None
+                    self._pending.append(arg)
+                    self._remaining -= 1
+                cmd, self._pending = self._pending, None
+                return cmd
+            if self._pos >= len(self._buf):
+                return None
+            lead = self._buf[self._pos]
+            if lead == ord("*"):
+                line = self._readline()
+                if line is None:
                     return None
-                self._pending.append(arg)
-                self._remaining -= 1
-            cmd, self._pending = self._pending, None
-            return cmd
-        if self._pos >= len(self._buf):
-            return None
-        lead = self._buf[self._pos]
-        if lead == ord("*"):
+                try:
+                    count = int(line[1:])
+                except ValueError:
+                    raise RespProtocolError(
+                        "invalid multibulk length"
+                    ) from None
+                if count > self.max_elements:
+                    raise RespProtocolError("invalid multibulk length")
+                if count > 0:
+                    # The header line is consumed for good; missing
+                    # elements keep the pending state across feeds
+                    # (never rewound).
+                    self._pending = []
+                    self._remaining = count
+                # Redis treats *0 and *-1 as an empty command: skip it.
+                continue
+            # Inline command: a plain text line split on whitespace.
             line = self._readline()
             if line is None:
                 return None
-            try:
-                count = int(line[1:])
-            except ValueError:
-                raise RespProtocolError("invalid multibulk length") from None
-            if count > self.max_elements:
-                raise RespProtocolError("invalid multibulk length")
-            if count <= 0:
-                # Redis treats *0 and *-1 as an empty command: skip it.
-                return self._parse_one() if self._pos < len(self._buf) else None
-            # The header line is consumed for good; missing elements
-            # keep the pending state across feeds (never rewound).
-            self._pending = []
-            self._remaining = count
-            return self._parse_one()
-        # Inline command: a plain text line split on whitespace.
-        line = self._readline()
-        if line is None:
-            return None
-        parts = line.split()
-        if not parts:
-            return self._parse_one()
-        return [bytes(p) for p in parts]
+            parts = line.split()
+            if parts:
+                return [bytes(p) for p in parts]

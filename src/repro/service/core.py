@@ -63,6 +63,7 @@ from __future__ import annotations
 
 import threading
 import time
+import weakref
 from collections import deque
 from typing import (
     Any,
@@ -275,7 +276,12 @@ class CacheService:
         if metrics is not None:
             self._wire_metrics(metrics, dict(metrics_labels or {}))
         self._observed = metrics is not None or tracer is not None
-        backing.add_eviction_listener(self._on_evict)
+        # The policy holds its listener, so a bound method would close a
+        # service -> policy -> listener -> service cycle: a dropped
+        # service and every value it stores would then wait for a full
+        # GC pass instead of being freed at once.
+        on_evict = weakref.WeakMethod(self._on_evict)
+        backing.add_eviction_listener(lambda event: on_evict()(event))
 
     # ------------------------------------------------------------------
     # Public API

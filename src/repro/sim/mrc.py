@@ -10,8 +10,8 @@ parameters to "downsized simulations using spatial sampling"
 * :func:`fifo_mrc` — the exact FIFO / S-FIFO miss-ratio curve in one
   pass via the single-pass multi-size engine
   (:mod:`repro.sim.multisim`), replacing per-size re-simulation.
-* :func:`s3fifo_mrc` — the *approximate* S3-FIFO curve from one pass
-  over a spatial sample, error-bounded against exact re-simulation.
+* :func:`s3fifo_mrc` — the *approximate* S3-FIFO curve from compiled
+  runs over spatial samples, error-bounded against exact re-simulation.
 * :func:`sampled_mrc` — SHARDS-style spatial sampling for *arbitrary*
   policies: keep the keys whose hash falls under the sampling
   threshold, simulate at a proportionally downsized cache, and read
@@ -21,6 +21,7 @@ parameters to "downsized simulations using spatial sampling"
 from __future__ import annotations
 
 import sys
+from array import array
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 from repro.cache.registry import create_policy
@@ -183,13 +184,7 @@ def fifo_mrc(
     if sizes is None:
         sizes = _default_sizes(compiled.num_objects)
     if engine == "vector":
-        sorted_sizes = sorted(set(sizes))
-        miss_ratios = []
-        for size in sorted_sizes:
-            cache = create_policy(policy, capacity=size, **policy_kwargs)
-            result = simulate(cache, compiled, engine="vector")
-            miss_ratios.append(result.miss_ratio)
-        return MissRatioCurve(sorted_sizes, miss_ratios)
+        return _vector_curve(policy, compiled, sizes, policy_kwargs)
     if engine not in ("auto", "multisim"):
         raise ValueError(
             "engine must be 'auto', 'multisim', or 'vector', "
@@ -212,9 +207,10 @@ def s3fifo_mrc(
 ) -> MissRatioCurve:
     """S3-FIFO miss-ratio curve: sampled-approximate or vector-exact.
 
-    ``engine="sampled"`` (default): one pass over a SHARDS spatial
-    sample advances a downsized S3-FIFO per requested size
-    simultaneously (see
+    ``engine="sampled"`` (default): each of ``ensembles`` SHARDS
+    spatial samples is cut once as a compiled trace, and every
+    requested size runs one downsized S3-FIFO simulation over it on the
+    default (vector hit-run) engine, one sample alive at a time (see
     :func:`repro.sim.multisim.s3fifo_multisim_sampled`).  At the
     defaults the mean absolute error against exact per-size
     re-simulation is bounded by
@@ -225,18 +221,15 @@ def s3fifo_mrc(
     per size over the full trace (:mod:`repro.sim.vector`) —
     bit-identical to per-size scalar re-simulation, no sampling error.
     ``rate``/``seed``/``ensembles`` are ignored on this path.
+
+    Either way sizes are sorted and de-duplicated, and a non-positive
+    size raises ``ValueError``.
     """
     if engine == "vector":
         compiled = compile_trace(trace)
         if len(compiled) == 0:
             raise ValueError("cannot build an MRC from an empty trace")
-        sorted_sizes = sorted(set(sizes))
-        miss_ratios = []
-        for size in sorted_sizes:
-            cache = create_policy("s3fifo", capacity=size, **policy_kwargs)
-            result = simulate(cache, compiled, engine="vector")
-            miss_ratios.append(result.miss_ratio)
-        return MissRatioCurve(sorted_sizes, miss_ratios)
+        return _vector_curve("s3fifo", compiled, sizes, policy_kwargs)
     if engine != "sampled":
         raise ValueError(
             f"engine must be 'sampled' or 'vector', got {engine!r}"
@@ -248,6 +241,24 @@ def s3fifo_mrc(
         **policy_kwargs,
     )
     return result.to_curve()
+
+
+def _vector_curve(
+    policy: str, compiled: CompiledTrace, sizes: Sequence[int],
+    policy_kwargs: dict,
+) -> MissRatioCurve:
+    """Exact curve from one vector-engine pass per size."""
+    from repro.sim.multisim import _validate_sizes
+
+    caps = _validate_sizes(sizes)
+    miss_ratios = [
+        simulate(
+            create_policy(policy, capacity=size, **policy_kwargs),
+            compiled, engine="vector",
+        ).miss_ratio
+        for size in caps
+    ]
+    return MissRatioCurve(caps, miss_ratios)
 
 
 def _default_sizes(max_distance: int) -> List[int]:
@@ -291,17 +302,28 @@ def _pair_hash_np(np, a, b):
     )
 
 
-def _spatial_sample_compiled(
-    trace: CompiledTrace, salt: int, threshold: int
-) -> Optional[list]:
+#: SHARDS hash space: a key survives when its fingerprint modulo this
+#: falls under ``rate`` of it.
+_SAMPLE_MODULUS = 1 << 24
+
+
+def _shards_filter(rate: float, seed: int) -> Tuple[int, int]:
+    """The ``(salt, threshold)`` of the SHARDS filter at ``rate``."""
+    if not 0.0 < rate <= 1.0:
+        raise ValueError(f"rate must be in (0, 1], got {rate}")
+    return seed * 0x9E3779B9, int(_SAMPLE_MODULUS * rate)
+
+
+def _keep_positions(trace: CompiledTrace, salt: int, threshold: int):
     """Vectorized SHARDS filter over a compiled trace's id buffer.
 
     Each *distinct* key is Python-hashed once; the ``(salt, key)``
     tuple combine and the per-request keep decision run as a handful of
     NumPy passes.  Sized traces hash the ``(key, size)`` tuple the
-    request yields, exactly like the scalar loop.  Returns ``None``
-    when unavailable (no NumPy, or non-64-bit hashes) so the caller
-    falls back to the scalar filter — results are pinned identical.
+    request yields, exactly like the scalar loop.  Returns the kept
+    request positions as an ascending int64 array, or ``None`` when
+    unavailable (no NumPy, or non-64-bit hashes) so the caller falls
+    back to the scalar filter — results are pinned identical.
     """
     try:
         import numpy as np
@@ -309,29 +331,24 @@ def _spatial_sample_compiled(
         return None
     if sys.hash_info.width != 64:  # pragma: no cover - 64-bit only
         return None
-    n = len(trace)
-    if n == 0:
-        return []
-    table = trace.key_table
+    if len(trace) == 0:
+        return np.empty(0, dtype=np.int64)
     mask64 = 0xFFFFFFFFFFFFFFFF
     salt_lane = np.uint64(hash(salt) & mask64)
     key_lanes = np.fromiter(
-        ((hash(key) & mask64) for key in table),
+        ((hash(key) & mask64) for key in trace.key_table),
         dtype=np.uint64,
-        count=len(table),
+        count=trace.num_objects,
     )
     ids_np = np.frombuffer(trace.keys, dtype=np.int64)
-    ids = trace.key_ids()
     if trace.sizes is None:
         # Unit trace: one fingerprint per distinct key, then a gather.
         fp = _pair_hash_np(np, salt_lane, key_lanes)
         keep_kid = (fp & np.uint64(0xFFFFFF)) < np.uint64(threshold)
-        pos = np.flatnonzero(keep_kid[ids_np]).tolist()
-        return [table[ids[p]] for p in pos]
+        return np.flatnonzero(keep_kid[ids_np])
     # Sized trace: requests yield (key, size) tuples, so the sampled
     # item is the inner tuple — combine per request.
-    sizes = trace.sizes
-    sizes_np = np.frombuffer(sizes, dtype=np.int64)
+    sizes_np = np.frombuffer(trace.sizes, dtype=np.int64)
     # hash(int) for the non-negative sizes: n % (2**61 - 1).
     size_lanes = (
         sizes_np % np.int64((1 << 61) - 1)
@@ -339,8 +356,7 @@ def _spatial_sample_compiled(
     inner = _pair_hash_np(np, key_lanes[ids_np], size_lanes)
     fp = _pair_hash_np(np, salt_lane, inner)
     keep = (fp & np.uint64(0xFFFFFF)) < np.uint64(threshold)
-    pos = np.flatnonzero(keep).tolist()
-    return [(table[ids[p]], sizes[p]) for p in pos]
+    return np.flatnonzero(keep)
 
 
 def spatial_sample(
@@ -359,22 +375,60 @@ def spatial_sample(
     (pass :func:`~repro.traces.compiled.compile_trace` output to reuse
     the interned buffers across ensembles).
     """
-    if not 0.0 < rate <= 1.0:
-        raise ValueError(f"rate must be in (0, 1], got {rate}")
+    salt, threshold = _shards_filter(rate, seed)
     if rate == 1.0:
         return list(trace)
-    modulus = 1 << 24
-    threshold = int(modulus * rate)
-    salt = seed * 0x9E3779B9
     if isinstance(trace, CompiledTrace):
-        sampled = _spatial_sample_compiled(trace, salt, threshold)
-        if sampled is not None:
-            return sampled
+        pos = _keep_positions(trace, salt, threshold)
+        if pos is not None:
+            table = trace.key_table
+            ids = trace.key_ids()
+            if trace.sizes is None:
+                return [table[ids[p]] for p in pos.tolist()]
+            sizes = trace.sizes
+            return [(table[ids[p]], sizes[p]) for p in pos.tolist()]
     return [
         key
         for key in trace
-        if (fingerprint((salt, key)) % modulus) < threshold
+        if (fingerprint((salt, key)) % _SAMPLE_MODULUS) < threshold
     ]
+
+
+def _compiled_sample(
+    trace: CompiledTrace, rate: float, seed: int
+) -> CompiledTrace:
+    """:func:`spatial_sample` of a compiled trace, as a compiled trace.
+
+    Equal to ``compile_trace(spatial_sample(trace, rate, seed))``
+    request for request — ids re-interned densely in first-seen order,
+    the same key table, and a sizes column only when some kept size is
+    not 1 — but cut straight from the id and size buffers at the kept
+    positions, with no per-request Python and no re-hashing.
+    """
+    salt, threshold = _shards_filter(rate, seed)
+    name = f"sample-{seed}"
+    pos = _keep_positions(trace, salt, threshold)
+    if pos is None:  # pragma: no cover - no NumPy or 32-bit hashes
+        return compile_trace(spatial_sample(trace, rate, seed), name=name)
+    import numpy as np
+
+    kept = np.frombuffer(trace.keys, dtype=np.int64)[pos]
+    uniq, first = np.unique(kept, return_index=True)
+    uniq = uniq[np.argsort(first)]  # kept ids in first-seen order
+    remap = np.empty(trace.num_objects, dtype=np.int64)
+    remap[uniq] = np.arange(len(uniq), dtype=np.int64)
+    sizes = None
+    if trace.sizes is not None:
+        kept_sizes = np.frombuffer(trace.sizes, dtype=np.int64)[pos]
+        if (kept_sizes != 1).any():
+            sizes = array("q", kept_sizes.tobytes())
+    table = trace.key_table
+    return CompiledTrace(
+        array("q", remap[kept].tobytes()),
+        [table[kid] for kid in uniq.tolist()],
+        sizes=sizes,
+        name=name,
+    )
 
 
 def sampled_mrc(
@@ -392,6 +446,8 @@ def sampled_mrc(
     Each requested cache ``size`` is simulated on a spatial sample at
     ``max(1, size * rate)`` capacity; the measured miss ratio estimates
     the full-trace miss ratio at ``size`` (SHARDS' fixed-rate variant).
+    Sizes are sorted and de-duplicated; a non-positive size raises
+    ``ValueError``.
 
     A single sample is an unbiased but *noisy* estimator on skewed
     workloads: whether the few hottest keys land in the sample moves
@@ -405,37 +461,12 @@ def sampled_mrc(
     FIFO-family policies run on the vector engine, ``"scalar"`` forces
     the classic paths, ``"vector"`` requires vector eligibility.
     """
-    if not sizes:
-        raise ValueError("sizes must be non-empty")
-    if ensembles < 1:
-        raise ValueError(f"ensembles must be >= 1, got {ensembles}")
-    # Compile the full trace once so every ensemble's spatial filter
-    # runs vectorized over the same interned id buffer.
-    full = compile_trace(trace)
-    samples = []
-    for i in range(ensembles):
-        sample = spatial_sample(full, rate, seed=seed + i)
-        if sample:
-            # Compile once per ensemble member: every requested size
-            # re-simulates the same sample, and compiled traces give
-            # fast policies their batch path for free.
-            samples.append(compile_trace(sample, name=f"sample-{seed + i}"))
-    if not samples:
-        raise ValueError(
-            f"sampling rate {rate} produced an empty trace; raise the rate"
-        )
-    miss_ratios = []
-    for size in sorted(sizes):
-        scaled = max(1, int(size * rate))
-        misses = 0
-        requests = 0
-        for sample in samples:
-            cache = create_policy(policy, capacity=scaled, **policy_kwargs)
-            result = simulate(cache, sample, engine=engine)
-            misses += result.misses
-            requests += result.requests
-        miss_ratios.append(misses / requests if requests else 0.0)
-    return MissRatioCurve(sorted(sizes), miss_ratios)
+    from repro.sim.multisim import _sampled_multisim
+
+    return _sampled_multisim(
+        policy, trace, sizes, rate=rate, seed=seed, ensembles=ensembles,
+        engine=engine, **policy_kwargs,
+    ).to_curve()
 
 
 def mrc_error(

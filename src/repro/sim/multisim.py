@@ -31,9 +31,10 @@ Three engines:
 * :func:`s3fifo_multisim_sampled` — *approximate*, for S3-FIFO: its
   three-queue structure couples sizes through the ghost queue and the
   per-object frequency bits, so the exact bitmask trick buys nothing;
-  instead one pass over a SHARDS spatial sample advances every
-  (downsized) cache size simultaneously.  Accuracy is pinned against
-  exact re-simulation by :data:`S3FIFO_MRC_ERROR_BOUND`.
+  instead each SHARDS spatial sample is cut once as a compiled trace
+  and every (downsized) cache size runs one compiled simulation over
+  it, one sample alive at a time.  Accuracy is pinned against exact
+  re-simulation by :data:`S3FIFO_MRC_ERROR_BOUND`.
 
 All engines operate on :class:`~repro.traces.compiled.CompiledTrace`
 id buffers (raw traces are compiled on entry) and accept unit-size and
@@ -445,75 +446,61 @@ def multisim(
 
 
 # ----------------------------------------------------------------------
-# S3-FIFO (approximate)
+# Sampled (any policy; S3-FIFO's approximate curve)
 # ----------------------------------------------------------------------
-def s3fifo_multisim_sampled(
+def _sampled_multisim(
+    policy: str,
     trace,
     sizes: Sequence[int],
-    rate: float = 0.25,
-    seed: int = 0,
-    ensembles: int = 3,
-    policy: str = "s3fifo",
+    rate: float,
+    seed: int,
+    ensembles: int,
+    engine: str = "auto",
     **policy_kwargs,
 ) -> MultiSimResult:
-    """Approximate S3-FIFO miss ratios at every size in one sampled pass.
+    """SHARDS miniature simulations of ``policy`` at every size.
 
-    S3-FIFO breaks the cheap exact trick: hits move frequency bits that
-    later decide evictions, and the ghost queue couples a key's fate
-    across sizes, so per-size state cannot be compressed to residency
-    bitmasks.  Instead this runs SHARDS spatial sampling *once* and
-    advances one downsized cache per requested size simultaneously
-    while streaming the sample — a single pass over ``rate`` of the
-    trace instead of |sizes| exact passes.
-
-    With the defaults (``rate=0.25``, ``ensembles=3``) the mean
-    absolute error against exact per-size re-simulation stays within
-    :data:`S3FIFO_MRC_ERROR_BOUND` on the synthetic workloads; the
-    differential suite pins this.  ``ensembles`` independent samples
-    are aggregated by ratio-of-sums, which averages away the hot-key
-    lottery exactly as :func:`repro.sim.mrc.sampled_mrc` does.
+    The one sampled driver behind :func:`s3fifo_multisim_sampled` and
+    :func:`repro.sim.mrc.sampled_mrc`.  Ensemble ``e`` cuts a compiled
+    spatial sample (seed ``seed + e``) and runs one
+    :func:`~repro.sim.simulate` per size at ``max(1, size * rate)``
+    capacity on ``engine``; counts are summed over ensembles, so miss
+    ratios are ratios of sums.  Ensembles run one after another and
+    each sample is dropped before the next is cut: only one sample (and
+    its lazy indexes) is ever alive.
     """
     from repro.cache.registry import create_policy
-    from repro.sim.mrc import spatial_sample
+    from repro.sim.mrc import _compiled_sample
+    from repro.sim.simulator import simulate
 
     caps = _validate_sizes(sizes)
     if ensembles < 1:
         raise ValueError(f"ensembles must be >= 1, got {ensembles}")
-    if not 0.0 < rate <= 1.0:
-        raise ValueError(f"rate must be in (0, 1], got {rate}")
+    scaled = [max(1, int(c * rate)) for c in caps]
     k = len(caps)
     misses = [0] * k
     bytes_missed = [0] * k
     evictions = [0] * k
     requests = 0
     bytes_requested = 0
-    ran = False
     # Compile the full trace once: the spatial filter then runs
     # vectorized over the interned id buffer for every ensemble.
-    trace = compile_trace(trace)
+    full = compile_trace(trace)
     for e in range(ensembles):
-        sample = spatial_sample(trace, rate, seed=seed + e)
-        if not sample:
-            continue
-        ran = True
-        ct = compile_trace(sample, name=f"mrc-sample-{seed + e}")
-        caches = [
-            create_policy(
-                policy, capacity=max(1, int(c * rate)), **policy_kwargs
-            )
-            for c in caps
-        ]
-        for req in ct.iter_requests(reuse=True):
-            for cache in caches:
-                cache.request(req)
-        st0 = caches[0].stats
-        requests += st0.requests
-        bytes_requested += st0.bytes_requested
-        for j, cache in enumerate(caches):
-            misses[j] += cache.stats.misses
-            bytes_missed[j] += cache.stats.bytes_missed
-            evictions[j] += cache.stats.evictions
-    if not ran:
+        sample = _compiled_sample(full, rate, seed + e)
+        if len(sample):
+            for j, cap in enumerate(scaled):
+                cache = create_policy(policy, capacity=cap, **policy_kwargs)
+                result = simulate(cache, sample, engine=engine)
+                misses[j] += result.misses
+                bytes_missed[j] += result.bytes_missed
+                evictions[j] += result.total_evictions
+            requests += result.requests
+            bytes_requested += result.bytes_requested
+        # Rebinding alone would keep this sample alive while the next
+        # one is cut.
+        del sample
+    if not requests:
         raise ValueError(
             f"sampling rate {rate} produced an empty trace; raise the rate"
         )
@@ -526,4 +513,39 @@ def s3fifo_multisim_sampled(
         requests=requests,
         bytes_requested=bytes_requested,
         exact=False,
+    )
+
+
+def s3fifo_multisim_sampled(
+    trace,
+    sizes: Sequence[int],
+    rate: float = 0.25,
+    seed: int = 0,
+    ensembles: int = 3,
+    policy: str = "s3fifo",
+    **policy_kwargs,
+) -> MultiSimResult:
+    """Approximate S3-FIFO miss ratios at every size from spatial samples.
+
+    S3-FIFO breaks the cheap exact trick: hits move frequency bits that
+    later decide evictions, and the ghost queue couples a key's fate
+    across sizes, so per-size state cannot be compressed to residency
+    bitmasks.  Instead each of ``ensembles`` SHARDS spatial samples
+    (``rate`` of the keys) is cut once as a compiled trace, and every
+    requested size runs one downsized simulation over it on the default
+    engine — for ``s3fifo`` the vector hit-run engine, whose cost
+    tracks the sample's misses, not its length.  ``ensembles`` x
+    |sizes| runs over ``rate`` of the trace instead of |sizes| exact
+    passes.
+
+    With the defaults (``rate=0.25``, ``ensembles=3``) the mean
+    absolute error against exact per-size re-simulation stays within
+    :data:`S3FIFO_MRC_ERROR_BOUND` on the synthetic workloads; the
+    differential suite pins this.  The ensembles are aggregated by
+    ratio-of-sums, which averages away the hot-key lottery exactly as
+    :func:`repro.sim.mrc.sampled_mrc` does (both share one driver).
+    """
+    return _sampled_multisim(
+        policy, trace, sizes, rate=rate, seed=seed, ensembles=ensembles,
+        **policy_kwargs,
     )

@@ -10,6 +10,7 @@ from repro.sim.mrc import (
     lru_mrc,
     mrc_error,
     reuse_distances,
+    s3fifo_mrc,
     sampled_mrc,
     spatial_sample,
 )
@@ -205,6 +206,24 @@ class TestSampledMrc:
             sampled_mrc("lru", [1, 2], sizes=[])
         with pytest.raises(ValueError):
             sampled_mrc("lru", [1, 2], sizes=[1], ensembles=0)
+
+    def test_one_size_semantics_with_s3fifo_mrc(self):
+        """sampled_mrc and s3fifo_mrc share one sampled driver: both
+        sort and de-duplicate sizes, agree point for point at the same
+        rate/seed/ensembles, and reject a non-positive size alike."""
+        trace = zipf_trace(500, 8000, alpha=1.0, seed=5)
+        sizes = [400, 100, 100]
+        generic = sampled_mrc("s3fifo", trace, sizes, rate=0.3, ensembles=2)
+        s3 = s3fifo_mrc(trace, sizes, rate=0.3, ensembles=2)
+        assert generic.sizes == s3.sizes == [100, 400]
+        assert generic.miss_ratios == s3.miss_ratios
+        for bad in ([0, 100], [100, -4]):
+            with pytest.raises(ValueError, match="capacity must be positive"):
+                sampled_mrc("s3fifo", trace, bad, rate=0.3)
+            with pytest.raises(ValueError, match="capacity must be positive"):
+                s3fifo_mrc(trace, bad, rate=0.3)
+            with pytest.raises(ValueError, match="capacity must be positive"):
+                s3fifo_mrc(trace, bad, engine="vector")
 
     def test_mrc_error_helper(self):
         a = MissRatioCurve([10], [0.5])

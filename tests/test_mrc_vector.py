@@ -14,7 +14,13 @@ import random
 import pytest
 
 from repro.cache.registry import create_policy
-from repro.sim.mrc import fifo_mrc, s3fifo_mrc, sampled_mrc, spatial_sample
+from repro.sim.mrc import (
+    _compiled_sample,
+    fifo_mrc,
+    s3fifo_mrc,
+    sampled_mrc,
+    spatial_sample,
+)
 from repro.sim.simulator import simulate
 from repro.traces.compiled import compile_trace
 from repro.traces.synthetic import zipf_trace
@@ -24,6 +30,9 @@ STR_TRACE = [f"obj:{k}" for k in ZIPF]
 MIXED = [k if k % 3 else f"s{k}" for k in ZIPF]
 _rng = random.Random(13)
 SIZED = [(k, _rng.randint(1, 25)) for k in ZIPF]
+#: Mostly unit-size: some samples keep no sized request at all, so the
+#: cut must drop the sizes column exactly when compile_trace would.
+RARE_SIZED = [(k, 9) if k % 97 == 3 else k for k in ZIPF]
 
 
 @pytest.mark.parametrize(
@@ -36,6 +45,26 @@ def test_spatial_sample_compiled_pinned_to_scalar(items, rate, seed):
     scalar = spatial_sample(items, rate, seed=seed)
     vector = spatial_sample(compile_trace(items), rate, seed=seed)
     assert vector == scalar
+
+
+@pytest.mark.parametrize(
+    "items", [ZIPF, STR_TRACE, SIZED, RARE_SIZED, []],
+    ids=["int-keys", "str-keys", "sized", "rare-sized", "empty"],
+)
+@pytest.mark.parametrize("rate", [0.05, 0.25, 1.0])
+@pytest.mark.parametrize("seed", [0, 97])
+def test_compiled_sample_equals_compiled_spatial_sample(items, rate, seed):
+    """The sample cut from the id/size buffers is the compiled list
+    sample, request for request: same ids, key table and sizes."""
+    full = compile_trace(items)
+    cut = _compiled_sample(full, rate, seed)
+    ref = compile_trace(spatial_sample(full, rate, seed=seed))
+    assert list(cut.keys) == list(ref.keys)
+    assert cut.key_table == ref.key_table
+    assert (cut.sizes is None) == (ref.sizes is None)
+    if ref.sizes is not None:
+        assert list(cut.sizes) == list(ref.sizes)
+    assert list(cut) == list(ref)
 
 
 def test_spatial_sample_empty_compiled_trace():

@@ -16,7 +16,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cache.registry import create_policy
-from repro.sim.mrc import MissRatioCurve, fifo_mrc, mrc_error, s3fifo_mrc
+from repro.sim.mrc import (
+    MissRatioCurve,
+    fifo_mrc,
+    mrc_error,
+    s3fifo_mrc,
+    spatial_sample,
+)
 from repro.sim.multisim import (
     MULTISIM_POLICIES,
     S3FIFO_MRC_ERROR_BOUND,
@@ -213,6 +219,109 @@ class TestMrcApi:
 
     def test_fifo_not_monotone_on_belady(self):
         assert not fifo_mrc(BELADY, sizes=[3, 4]).is_monotone()
+
+
+def per_request_sampled(trace, sizes, rate=0.25, seed=0, ensembles=3,
+                        policy="s3fifo", **policy_kwargs):
+    """Oracle for the sampled driver: the per-request engine it replaced.
+
+    Each ensemble's spatial sample is re-compiled from its key list and
+    streamed request by request through one reference cache per size,
+    all caches advancing together.  Returns the per-size counts and the
+    request totals the driver must reproduce exactly.
+    """
+    caps = sorted(set(sizes))
+    k = len(caps)
+    misses, bytes_missed, evictions = [0] * k, [0] * k, [0] * k
+    requests = bytes_requested = 0
+    full = compile_trace(trace)
+    for e in range(ensembles):
+        sample = spatial_sample(full, rate, seed=seed + e)
+        if not sample:
+            continue
+        caches = [
+            create_policy(
+                policy, capacity=max(1, int(c * rate)), **policy_kwargs
+            )
+            for c in caps
+        ]
+        for req in compile_trace(sample).iter_requests(reuse=True):
+            for cache in caches:
+                cache.request(req)
+        requests += caches[0].stats.requests
+        bytes_requested += caches[0].stats.bytes_requested
+        for j, cache in enumerate(caches):
+            misses[j] += cache.stats.misses
+            bytes_missed[j] += cache.stats.bytes_missed
+            evictions[j] += cache.stats.evictions
+    return {
+        "sizes": caps,
+        "misses": misses,
+        "bytes_missed": bytes_missed,
+        "evictions": evictions,
+        "requests": requests,
+        "bytes_requested": bytes_requested,
+    }
+
+
+def assert_matches_oracle(trace, sizes, **kwargs):
+    result = s3fifo_multisim_sampled(trace, sizes, **kwargs)
+    oracle = per_request_sampled(trace, sizes, **kwargs)
+    assert result.sizes == oracle["sizes"]
+    assert result.misses == oracle["misses"]
+    assert result.bytes_missed == oracle["bytes_missed"]
+    assert result.evictions == oracle["evictions"]
+    assert result.requests == oracle["requests"]
+    assert result.bytes_requested == oracle["bytes_requested"]
+    return result
+
+
+class TestSampledDriverDifferential:
+    """The compiled sampled driver vs. the per-request oracle: same
+    seeds, same scaled capacities, so every count must be identical."""
+
+    #: Duplicates, and 2/3 whose scaled capacity (rate 0.25) clamps to 1.
+    UNIT_SIZES = [2, 3, 8, 8, 40, 120, 300]
+    #: Scaled capacities 1..25 against request sizes up to 8: oversized
+    #: requests miss even when resident.
+    SIZED_SIZES = [3, 8, 16, 16, 40, 100]
+
+    @pytest.mark.parametrize("ensembles", [1, 2, 3])
+    def test_unit_trace(self, unit_trace, ensembles):
+        assert_matches_oracle(
+            unit_trace, self.UNIT_SIZES, ensembles=ensembles, seed=4
+        )
+
+    @pytest.mark.parametrize("ensembles", [1, 2, 3])
+    def test_sized_trace(self, sized_trace, ensembles):
+        result = assert_matches_oracle(
+            sized_trace, self.SIZED_SIZES, ensembles=ensembles
+        )
+        assert result.bytes_requested > result.requests
+
+    @pytest.mark.parametrize("kwargs", [
+        {"freq_cap": 5},
+        {"ghost_entries": 7},
+        {"small_ratio": 0.25, "move_to_main_threshold": 1},
+    ], ids=["freq-cap-5", "ghost-entries", "small-ratio-threshold"])
+    def test_policy_kwargs(self, unit_trace, sized_trace, kwargs):
+        assert_matches_oracle(
+            unit_trace, self.UNIT_SIZES, ensembles=2, rate=0.5, **kwargs
+        )
+        assert_matches_oracle(
+            sized_trace, self.SIZED_SIZES, ensembles=2, **kwargs
+        )
+
+    def test_scalar_fallback_policy(self, unit_trace, sized_trace):
+        """``s3fifo-d`` publishes no vector spec, so every miniature
+        simulation takes the scalar path."""
+        assert create_policy("s3fifo-d", 16).vector_spec() is None
+        assert_matches_oracle(
+            unit_trace, self.UNIT_SIZES, ensembles=2, policy="s3fifo-d"
+        )
+        assert_matches_oracle(
+            sized_trace, self.SIZED_SIZES, ensembles=2, policy="s3fifo-d"
+        )
 
 
 class TestS3FifoSampled:

@@ -65,6 +65,14 @@ class TestCommands:
     def test_bare_crlf_skipped(self):
         assert McParser().feed(b"\r\nversion\r\n") == [("version",)]
 
+    def test_long_run_of_bare_crlf_does_not_recurse(self):
+        """A megabyte of bare CRLFs is skipped iteratively: no event,
+        no RecursionError, and the next command still parses."""
+        parser = McParser()
+        assert parser.feed(b"\r\n" * (1 << 19)) == []
+        assert parser.buffered == 0
+        assert parser.feed(b"version\r\n") == [("version",)]
+
 
 class TestClientErrors:
     @pytest.mark.parametrize("line", [

@@ -95,6 +95,17 @@ class TestParser:
         assert RespParser().feed(b"*0\r\n" + cmd(b"PING")) == [[b"PING"]]
         assert RespParser().feed(b"*-1\r\n" + cmd(b"PING")) == [[b"PING"]]
 
+    def test_long_runs_of_empty_frames_do_not_recurse(self):
+        """Blank lines and empty arrays are skipped iteratively: runs
+        far deeper than the recursion limit yield nothing and leave the
+        parser ready for the next command."""
+        parser = RespParser()
+        assert parser.feed(b"\r\n" * (1 << 19)) == []  # 1 MiB
+        assert parser.feed(b"*0\r\n" * 100_000) == []
+        assert parser.feed(b"*-1\r\n" * 100_000) == []
+        assert parser.buffered == 0
+        assert parser.feed(cmd(b"PING")) == [[b"PING"]]
+
     def test_invalid_bulk_length(self):
         with pytest.raises(RespProtocolError, match="invalid bulk length"):
             RespParser().feed(b"*1\r\n$abc\r\n")

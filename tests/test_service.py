@@ -1,5 +1,8 @@
 """Tests for the live cache service core and the remove() protocol."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.cache.registry import create_policy
@@ -114,6 +117,21 @@ class TestCacheService:
         assert svc.counters.evictions == 2
         assert svc.get(0) is None  # FIFO evicted the oldest
         svc.check()
+
+    def test_dropped_service_is_freed_without_gc(self):
+        """The policy's eviction listener must not keep its service
+        alive: a dropped service frees its values by refcount alone."""
+        svc = CacheService(4, policy="s3fifo")
+        for key in range(10):
+            svc.set(key, key)
+        assert svc.counters.evictions > 0
+        ref = weakref.ref(svc)
+        gc.disable()
+        try:
+            del svc
+            assert ref() is None
+        finally:
+            gc.enable()
 
     def test_overwrite_updates_value(self):
         svc = CacheService(10)
