@@ -12,6 +12,7 @@ policy.
 
 from __future__ import annotations
 
+import weakref
 from abc import ABC, abstractmethod
 from typing import Callable, ClassVar, Hashable, List, Optional
 
@@ -183,6 +184,25 @@ class DemotionEvent:
 
 
 DemotionListener = Callable[[DemotionEvent], None]
+
+
+def weak_listener(method: Callable) -> Callable:
+    """A listener that calls bound ``method`` while its object lives.
+
+    A policy holds its listeners, so registering a bound method ties the
+    method's object to the policy's lifetime (and, when that object holds
+    the policy, forms a cycle only a full GC pass frees).  Once the
+    object is gone this listener does nothing, so the policy stays
+    usable.
+    """
+    ref = weakref.WeakMethod(method)
+
+    def listener(event) -> None:
+        bound = ref()
+        if bound is not None:
+            bound(event)
+
+    return listener
 
 
 class EvictionPolicy(ABC):

@@ -131,11 +131,14 @@ class RespParser:
 
     # ------------------------------------------------------------------
     def _readline(self) -> Optional[bytes]:
-        """One CRLF-terminated line, or ``None`` if incomplete."""
+        """One CRLF-terminated line, or ``None`` if incomplete.  A line
+        over ``max_inline`` is refused whether or not its CRLF has
+        arrived, so chunk boundaries cannot change the outcome."""
         idx = self._buf.find(b"\r\n", self._pos)
+        end = len(self._buf) if idx < 0 else idx
+        if end - self._pos > self.max_inline:
+            raise RespProtocolError("too big inline request")
         if idx < 0:
-            if len(self._buf) - self._pos > self.max_inline:
-                raise RespProtocolError("too big inline request")
             return None
         line = bytes(self._buf[self._pos:idx])
         self._pos = idx + 2

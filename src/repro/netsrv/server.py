@@ -19,33 +19,44 @@ backend **evicts** — for the mp backend that is exactly the
 loop's only blocking work is the IPC round-trip, and the eviction,
 hashing, and TTL bookkeeping burn other cores.
 
-Per-connection **pipelining** is free with streaming parsers: every
-complete command sitting in one read chunk is executed before the
-replies go out in a single ``write``.  Consecutive single-key RESP
-``GET`` commands in a pipeline are *fused* into one
-``service.get_many`` call — on the mp backend that turns N pipelined
-gets into one round-trip per involved worker, the same lever the
-batched loadgen path measures.  (Reply order is preserved; the fusion
-is invisible on the wire.)
+Each connection is one :class:`asyncio.Protocol` (no streams, no
+tasks): ``data_received`` feeds the parser every chunk the transport
+reads, executes every complete command, and writes the chunk's
+replies with one ``transport.write`` — that is per-connection
+**pipelining**.  Consecutive single-key RESP ``GET`` commands in a
+chunk are *fused* into one ``service.get_many`` call — on the mp
+backend, one round-trip per involved worker.  (Reply order is
+preserved; the fusion is invisible on the wire.)  Above the
+transport's write high-water mark a connection stops reading until
+the buffer drains, so a client that stops reading holds at most one
+chunk of replies above that mark.
 
 Both protocols interoperate on one store: a value is the pair
 ``(flags, data)`` so a memcached ``set`` with flags survives a RESP
 ``GET`` (which returns just the data) and vice versa (RESP ``SET``
 stores flags 0).
 
+A malformed frame gets the protocol's error reply and a close.  Any
+other exception while serving a chunk gets ``-ERR internal error`` /
+``SERVER_ERROR internal error`` and a close of that connection only,
+counted in ``repro_net_internal_errors`` (traceback at debug level).
+
 Lifecycle
 ---------
 
 ``await start()`` binds the listeners (``port=0`` picks an ephemeral
 port; the bound port is readable afterwards).  ``await
-drain(timeout)`` is the graceful path: stop accepting, wake every
-connection, give each one a short grace read to pick up bytes already
-in flight, execute and answer everything *accepted* (fully received),
-then close — connections still alive past the deadline are cancelled.
-No accepted in-flight command is ever dropped by a drain; the
-conformance tests pin this under load.  The backend is **not** owned
+drain(timeout)`` is the graceful path: close the listeners, keep
+answering bytes already in flight for :data:`DRAIN_GRACE` seconds,
+then close every idle connection; a connection in a ``slow-client``
+stall closes when it ends, and any still open at ``timeout`` is
+aborted.  No accepted in-flight command is ever dropped by a drain;
+the conformance tests pin this under load.  The backend is **not** owned
 by the server: callers close it after the drain (for the mp backend
 that is the existing phased bounded teardown).
+
+The idle timeout is one timer per connection, re-armed lazily from
+the last received bytes, so reading costs no timer work.
 
 For synchronous callers (tests, the load generator), :class:`
 ServerThread` runs the whole lifecycle on a daemon thread:
@@ -73,10 +84,11 @@ registry the hot path records nothing.
 from __future__ import annotations
 
 import asyncio
+import logging
 import threading
 import time
 import zlib
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.netsrv.memcached import (
     RELATIVE_EXPTIME_CEILING,
@@ -101,6 +113,8 @@ __all__ = ["CacheServer", "ServerThread", "PROTOCOLS"]
 
 PROTOCOLS = ("resp", "memcached")
 
+logger = logging.getLogger(__name__)
+
 SERVER_VERSION = "repro-1.0.0"
 
 #: RESP commands with dedicated metric series; anything else lands in
@@ -110,18 +124,12 @@ _RESP_COMMANDS = ("get", "set", "del", "mget", "mset", "exists", "ping",
 _MC_COMMANDS = ("get", "gets", "set", "delete", "stats", "version",
                 "quit", "other")
 
-_READ_CHUNK = 1 << 16
+#: Seconds a drain keeps reading before it closes idle connections.
+DRAIN_GRACE = 0.05
 
-
-class _ConnectionState:
-    """Per-connection bookkeeping shared by both protocol handlers."""
-
-    __slots__ = ("protocol", "parser", "peer")
-
-    def __init__(self, protocol: str, parser: Any, peer: str) -> None:
-        self.protocol = protocol
-        self.parser = parser
-        self.peer = peer
+#: The one reply a connection gets when serving it raised unexpectedly.
+_INTERNAL_ERROR = {"resp": encode_error("ERR internal error"),
+                   "memcached": b"SERVER_ERROR internal error\r\n"}
 
 
 def exptime_to_ttl(exptime: int) -> Optional[float]:
@@ -171,9 +179,6 @@ class CacheServer:
     fault_plan:
         Optional :class:`~repro.resilience.faults.FaultPlan` consulted
         on the accepted-command clock (``conn-reset``/``slow-client``).
-    drain_grace:
-        Seconds of opportunistic reading a draining connection gets to
-        pick up commands already on the wire.
     """
 
     def __init__(
@@ -188,7 +193,6 @@ class CacheServer:
         max_value_size: int = 1 << 20,
         metrics=None,
         fault_plan=None,
-        drain_grace: float = 0.05,
     ) -> None:
         if resp_port is None and memcached_port is None:
             raise ValueError(
@@ -209,18 +213,20 @@ class CacheServer:
         self.max_connections = max_connections
         self.idle_timeout = idle_timeout
         self.max_value_size = max_value_size
-        self.drain_grace = drain_grace
         self._fault_plan = fault_plan
         self._clock = 0  # accepted-command sequence number (fault clock)
+        self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._servers: List[asyncio.base_events.Server] = []
-        self._conn_tasks: set = set()
+        self._conns: Set["_Connection"] = set()
+        self._all_closed: Optional[asyncio.Future] = None
         self._conn_count = {p: 0 for p in PROTOCOLS}
         self._accepted = {p: 0 for p in PROTOCOLS}
         self._rejected = {p: 0 for p in PROTOCOLS}
         self._proto_errors = {p: 0 for p in PROTOCOLS}
         self._idle_closes = {p: 0 for p in PROTOCOLS}
         self._resets = {p: 0 for p in PROTOCOLS}
-        self._draining: Optional[asyncio.Event] = None
+        self._internal_errors = {p: 0 for p in PROTOCOLS}
+        self._draining = False  # grace over: idle connections close
         self._started = False
         self._closed = False
         self._cmd_counters: Dict[Tuple[str, str], Any] = {}
@@ -235,51 +241,50 @@ class CacheServer:
         """Bind the listeners; ephemeral ports become readable after."""
         if self._started:
             raise RuntimeError("server already started")
-        self._draining = asyncio.Event()
+        self._loop = asyncio.get_running_loop()
         if self.resp_port is not None:
-            srv = await asyncio.start_server(
-                lambda r, w: self._accept("resp", r, w),
-                self.host, self.resp_port,
-            )
-            self.resp_port = srv.sockets[0].getsockname()[1]
-            self._servers.append(srv)
+            self.resp_port = await self._listen("resp", self.resp_port)
         if self.memcached_port is not None:
-            srv = await asyncio.start_server(
-                lambda r, w: self._accept("memcached", r, w),
-                self.host, self.memcached_port,
-            )
-            self.memcached_port = srv.sockets[0].getsockname()[1]
-            self._servers.append(srv)
+            self.memcached_port = await self._listen(
+                "memcached", self.memcached_port)
         self._started = True
         return self
+
+    async def _listen(self, protocol: str, port: int) -> int:
+        srv = await self._loop.create_server(
+            lambda: _Connection(self, protocol), self.host, port)
+        self._servers.append(srv)
+        return srv.sockets[0].getsockname()[1]
 
     async def drain(self, timeout: float = 5.0) -> None:
         """Graceful shutdown: stop accepting, finish accepted work.
 
-        Listeners close first (new connects are refused), then every
-        live connection is woken: each gets :attr:`drain_grace`
-        seconds of final reads, answers everything fully received, and
-        closes.  Connections still running at ``timeout`` are
-        cancelled — the bounded deadline the resilience story
-        requires.  Idempotent.
+        Listeners close first (new connects are refused).  For
+        :data:`DRAIN_GRACE` seconds live connections keep reading and
+        answering; then every idle connection closes, connections in a
+        ``slow-client`` stall close once it ends, and any still open at
+        ``timeout`` are aborted — the bounded deadline the resilience
+        story requires.  Idempotent.
         """
         if self._closed:
             return
         self._closed = True
         for srv in self._servers:
             srv.close()
-        if self._draining is not None:
-            self._draining.set()
+        if self._conns:
+            await asyncio.sleep(DRAIN_GRACE)
+            self._draining = True
+            for conn in list(self._conns):
+                if conn.stall is None:
+                    conn.transport.close()
+        if self._conns:
+            self._all_closed = self._loop.create_future()
+            await asyncio.wait({self._all_closed}, timeout=timeout)
+            for conn in list(self._conns):
+                conn.transport.abort()
+            await asyncio.sleep(0)  # let the aborts' connection_lost run
         for srv in self._servers:
             await srv.wait_closed()
-        if self._conn_tasks:
-            done, pending = await asyncio.wait(
-                set(self._conn_tasks), timeout=timeout
-            )
-            for task in pending:
-                task.cancel()
-            if pending:
-                await asyncio.gather(*pending, return_exceptions=True)
 
     async def aclose(self) -> None:
         """Immediate shutdown (a drain with no deadline to spare)."""
@@ -288,173 +293,6 @@ class CacheServer:
     @property
     def connections(self) -> int:
         return sum(self._conn_count.values())
-
-    # ------------------------------------------------------------------
-    # Accept / per-connection loop
-    # ------------------------------------------------------------------
-    def _accept(self, protocol: str, reader: asyncio.StreamReader,
-                writer: asyncio.StreamWriter) -> None:
-        if self._closed or self.connections >= self.max_connections:
-            self._rejected[protocol] += 1
-            writer.close()
-            return
-        self._accepted[protocol] += 1
-        self._conn_count[protocol] += 1
-        task = asyncio.ensure_future(
-            self._serve_connection(protocol, reader, writer)
-        )
-        self._conn_tasks.add(task)
-        task.add_done_callback(self._conn_tasks.discard)
-
-    async def _serve_connection(self, protocol: str,
-                                reader: asyncio.StreamReader,
-                                writer: asyncio.StreamWriter) -> None:
-        if protocol == "resp":
-            parser: Any = RespParser(max_bulk=self.max_value_size)
-            execute = self._execute_resp
-            proto_error_reply = lambda exc: encode_error(  # noqa: E731
-                f"ERR Protocol error: {exc}"
-            )
-        else:
-            parser = McParser(max_value_size=self.max_value_size)
-            execute = self._execute_mc
-            proto_error_reply = lambda exc: (  # noqa: E731
-                f"CLIENT_ERROR {exc}\r\n".encode()
-            )
-        try:
-            while True:
-                draining = self._draining.is_set()
-                if draining:
-                    data = await self._final_read(reader)
-                else:
-                    data = await self._read(reader)
-                    if data is None:  # idle timeout
-                        self._idle_closes[protocol] += 1
-                        break
-                if not data and not draining:
-                    if self._draining.is_set():
-                        continue  # woken by drain: run the final pass
-                    break  # client EOF
-                try:
-                    commands = parser.feed(data)
-                except (RespProtocolError, McProtocolError) as exc:
-                    self._proto_errors[protocol] += 1
-                    writer.write(proto_error_reply(exc))
-                    with _suppress_conn_errors():
-                        await writer.drain()
-                    break
-                keep_open = await self._respond(
-                    protocol, commands, execute, writer
-                )
-                if not keep_open:
-                    return  # reset injected: transport already aborted
-                if self._draining.is_set() and parser.buffered == 0:
-                    break
-                if draining:
-                    break  # final pass done (answered what arrived)
-        except asyncio.CancelledError:
-            pass  # drain deadline: the server is done waiting
-        except (ConnectionResetError, BrokenPipeError, OSError):
-            pass  # client went away mid-exchange
-        finally:
-            self._conn_count[protocol] -= 1
-            with _suppress_conn_errors():
-                writer.close()
-
-    async def _read(self, reader: asyncio.StreamReader) -> Optional[bytes]:
-        """One chunk, or ``b""`` on EOF/drain-wake, or ``None`` on idle.
-
-        Waits on the socket *and* the drain event so a draining server
-        never sits behind a silent client; the pending read is
-        cancelled before any byte is consumed, so nothing is lost.
-        """
-        read_task = asyncio.ensure_future(reader.read(_READ_CHUNK))
-        drain_task = asyncio.ensure_future(self._draining.wait())
-        try:
-            done, _ = await asyncio.wait(
-                {read_task, drain_task},
-                timeout=self.idle_timeout,
-                return_when=asyncio.FIRST_COMPLETED,
-            )
-        finally:
-            for task in (read_task, drain_task):
-                if not task.done():
-                    task.cancel()
-            await asyncio.gather(read_task, drain_task,
-                                 return_exceptions=True)
-        if read_task in done and not read_task.cancelled():
-            exc = read_task.exception()
-            if exc is not None:
-                raise exc
-            return read_task.result()
-        if drain_task in done:
-            return b""  # woken by drain
-        return None  # idle timeout
-
-    async def _final_read(self, reader: asyncio.StreamReader) -> bytes:
-        """Drain-time grace: collect bytes already in flight."""
-        chunks: List[bytes] = []
-        deadline = time.monotonic() + self.drain_grace
-        while True:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                break
-            try:
-                chunk = await asyncio.wait_for(
-                    reader.read(_READ_CHUNK), timeout=remaining
-                )
-            except asyncio.TimeoutError:
-                break
-            if not chunk:
-                break
-            chunks.append(chunk)
-        return b"".join(chunks)
-
-    async def _respond(self, protocol: str, commands: List[Any],
-                       execute, writer: asyncio.StreamWriter) -> bool:
-        """Execute a pipeline; one write unless a fault forces stalls.
-
-        Returns False when a ``conn-reset`` fault aborted the
-        connection.  A close-requesting command (QUIT) discards the
-        rest of the pipeline, like Redis and memcached both do.
-        """
-        if not commands:
-            return True
-        plan = self._fault_plan
-        clocked: List[Tuple[Any, int]] = []
-        reset_at: Optional[int] = None
-        for i, cmd in enumerate(commands):
-            self._clock += 1
-            clocked.append((cmd, self._clock))
-            if (reset_at is None and plan is not None
-                    and plan.active(CONN_RESET, self._clock)):
-                reset_at = i
-        execute_list = clocked if reset_at is None else clocked[:reset_at]
-        replies, close = execute(execute_list)
-        out: List[bytes] = []
-        for (cmd, clock), reply in zip(execute_list, replies):
-            if plan is not None:
-                window = plan.window(SLOW_CLIENT, clock)
-                if window is not None:
-                    if out:
-                        writer.write(b"".join(out))
-                        out = []
-                        await writer.drain()
-                    await asyncio.sleep(window.magnitude)
-            if reply:
-                out.append(reply)
-        if out:
-            writer.write(b"".join(out))
-            await writer.drain()
-        if reset_at is not None:
-            self._resets[protocol] += 1
-            writer.transport.abort()  # RST: no FIN, no reply
-            return False
-        if close:
-            with _suppress_conn_errors():
-                writer.close()
-            raise asyncio.CancelledError  # unwind; finally decrements
-        return True
 
     # ------------------------------------------------------------------
     # RESP execution
@@ -771,6 +609,10 @@ class CacheServer:
                 ("repro_net_resets",
                  "Connections aborted by an injected conn-reset fault.",
                  self._resets),
+                ("repro_net_internal_errors",
+                 "Connections closed because serving them raised an "
+                 "unexpected error.",
+                 self._internal_errors),
             ):
                 registry.counter(name, help_text, labels).set_function(
                     lambda s=source, p=protocol: s[p]
@@ -798,16 +640,163 @@ def _wrong_args(name: str) -> bytes:
     )
 
 
-class _suppress_conn_errors:
-    """``with`` helper: ignore errors from closing a dead transport."""
+class _Connection(asyncio.Protocol):
+    """One client connection: feed the parser, execute, reply.
 
-    def __enter__(self) -> None:
-        return None
+    ``stall`` is the timer handle while a ``slow-client`` window holds
+    the rest of a chunk's replies; reading stays paused during it, so
+    replies go out in command order.
+    """
 
-    def __exit__(self, exc_type, exc, tb) -> bool:
-        return exc_type is not None and issubclass(
-            exc_type, (ConnectionError, OSError, RuntimeError)
-        )
+    def __init__(self, server: CacheServer, protocol: str) -> None:
+        self.server = server
+        self.protocol = protocol
+        if protocol == "resp":
+            self.parser: Any = RespParser(max_bulk=server.max_value_size)
+            self.execute = server._execute_resp
+        else:
+            self.parser = McParser(max_value_size=server.max_value_size)
+            self.execute = server._execute_mc
+        self.transport: Optional[asyncio.Transport] = None
+        self.stall: Optional[asyncio.TimerHandle] = None
+        self.write_paused = False
+        self.last_data = 0.0
+        self.idle_timer: Optional[asyncio.TimerHandle] = None
+
+    def connection_made(self, transport) -> None:
+        server, protocol = self.server, self.protocol
+        if server._closed or server.connections >= server.max_connections:
+            server._rejected[protocol] += 1
+            transport.close()  # transport stays None: never accepted
+            return
+        self.transport = transport
+        server._accepted[protocol] += 1
+        server._conn_count[protocol] += 1
+        server._conns.add(self)
+        if server.idle_timeout is not None:
+            self.last_data = server._loop.time()
+            self._check_idle()
+
+    def connection_lost(self, exc: Optional[Exception]) -> None:
+        if self.transport is None:
+            return
+        for handle in (self.stall, self.idle_timer):
+            if handle is not None:
+                handle.cancel()
+        server = self.server
+        server._conn_count[self.protocol] -= 1
+        server._conns.discard(self)
+        waiter = server._all_closed
+        if not server._conns and waiter is not None and not waiter.done():
+            waiter.set_result(None)
+
+    def data_received(self, data: bytes) -> None:
+        server, protocol = self.server, self.protocol
+        self.last_data = server._loop.time()
+        try:
+            commands = self.parser.feed(data)
+            if commands:
+                self._respond(commands)
+        except (RespProtocolError, McProtocolError) as exc:
+            server._proto_errors[protocol] += 1
+            if protocol == "resp":
+                reply = encode_error(f"ERR Protocol error: {exc}")
+            else:
+                reply = f"CLIENT_ERROR {exc}\r\n".encode()
+            self.transport.write(reply)
+            self.transport.close()
+        except Exception:
+            # Counted and answered; the traceback only at debug level.
+            logger.debug("internal error on a %s connection", protocol,
+                         exc_info=True)
+            server._internal_errors[protocol] += 1
+            self.transport.write(_INTERNAL_ERROR[protocol])
+            self.transport.close()
+
+    def pause_writing(self) -> None:
+        self.write_paused = True
+        self.transport.pause_reading()
+
+    def resume_writing(self) -> None:
+        self.write_paused = False
+        if self.stall is None:
+            self.transport.resume_reading()
+
+    def _check_idle(self) -> None:
+        """Close after ``idle_timeout`` without bytes; else re-arm.
+
+        A connection that is stalled or waiting for its client to read
+        is busy, not idle.
+        """
+        server = self.server
+        if self.transport.is_closing():
+            return
+        now = server._loop.time()
+        if self.stall is not None or self.write_paused:
+            self.last_data = now
+        deadline = self.last_data + server.idle_timeout
+        if now < deadline:
+            self.idle_timer = server._loop.call_at(deadline, self._check_idle)
+            return
+        self.idle_timer = None
+        server._idle_closes[self.protocol] += 1
+        self.transport.close()
+
+    def _respond(self, commands: List[Any]) -> None:
+        """Execute a pipeline and send its replies.
+
+        A ``conn-reset`` fault answers the commands before the faulted
+        one, then aborts.  A close-requesting command (QUIT) discards
+        the rest of the pipeline, like Redis and memcached both do.
+        """
+        server = self.server
+        plan = server._fault_plan
+        clocked: List[Tuple[Any, int]] = []
+        reset_at: Optional[int] = None
+        for i, cmd in enumerate(commands):
+            server._clock += 1
+            clocked.append((cmd, server._clock))
+            if (reset_at is None and plan is not None
+                    and plan.active(CONN_RESET, server._clock)):
+                reset_at = i
+        if reset_at is not None:
+            clocked = clocked[:reset_at]
+        replies, close = self.execute(clocked)
+        self._send(replies, clocked,
+                   CONN_RESET if reset_at is not None else close)
+
+    def _send(self, replies: List[bytes], clocked: List[Tuple[Any, int]],
+              end, resumed: bool = False) -> None:
+        """Write ``replies`` in one write, or stall before a slow one.
+
+        A ``slow-client`` window on a reply's clock writes the replies
+        before it, pauses reading and resumes after ``magnitude``
+        seconds (``resumed`` marks the reply that stall was for).
+        ``end`` runs after the last reply: :data:`CONN_RESET` aborts
+        (RST, no FIN), ``True`` closes (QUIT).
+        """
+        transport = self.transport
+        plan = self.server._fault_plan
+        if plan is not None:
+            for i in range(int(resumed), len(replies)):
+                window = plan.window(SLOW_CLIENT, clocked[i][1])
+                if window is not None:
+                    transport.write(b"".join(replies[:i]))
+                    transport.pause_reading()
+                    self.stall = self.server._loop.call_later(
+                        window.magnitude, self._send,
+                        replies[i:], clocked[i:], end, True,
+                    )
+                    return
+        self.stall = None
+        transport.write(b"".join(replies))
+        if end == CONN_RESET:
+            self.server._resets[self.protocol] += 1
+            transport.abort()
+        elif end or (resumed and self.server._draining):
+            transport.close()
+        elif resumed and not self.write_paused:
+            transport.resume_reading()
 
 
 # ----------------------------------------------------------------------

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 from typing import Hashable, Optional
 
+from repro.cache.base import weak_listener
 from repro.obs.metrics import LabelDict, MetricsRegistry
 from repro.sim.request import Request
 
@@ -88,8 +89,9 @@ class InstrumentedPolicy:
             )
             for outcome in ("promoted", "demoted")
         }
-        policy.add_eviction_listener(self._on_evict)
-        policy.add_demotion_listener(self._on_demote)
+        # Weak, or the policy would keep the wrapper and its registry.
+        policy.add_eviction_listener(weak_listener(self._on_evict))
+        policy.add_demotion_listener(weak_listener(self._on_demote))
 
         # Collect-time counters/gauges derived from policy state.
         stats = policy.stats

@@ -63,7 +63,6 @@ from __future__ import annotations
 
 import threading
 import time
-import weakref
 from collections import deque
 from typing import (
     Any,
@@ -78,6 +77,7 @@ from typing import (
     Tuple,
 )
 
+from repro.cache.base import weak_listener
 from repro.cache.registry import create_policy, removal_capable_policies
 from repro.sim.request import Request
 
@@ -276,12 +276,9 @@ class CacheService:
         if metrics is not None:
             self._wire_metrics(metrics, dict(metrics_labels or {}))
         self._observed = metrics is not None or tracer is not None
-        # The policy holds its listener, so a bound method would close a
-        # service -> policy -> listener -> service cycle: a dropped
-        # service and every value it stores would then wait for a full
-        # GC pass instead of being freed at once.
-        on_evict = weakref.WeakMethod(self._on_evict)
-        backing.add_eviction_listener(lambda event: on_evict()(event))
+        # Weak, or a dropped service and every value it stores would
+        # wait for a full GC pass (service -> policy -> listener cycle).
+        backing.add_eviction_listener(weak_listener(self._on_evict))
 
     # ------------------------------------------------------------------
     # Public API

@@ -14,6 +14,8 @@ events for the server to answer.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.netsrv import McParser, McProtocolError
 
@@ -140,3 +142,99 @@ class TestOversized:
         data = (b"set k 0 0 10\r\n" + b"Y" * 10 + b"\r\n" + b"version\r\n")
         assert parser.feed(data) == [("too_large", "k", 10, False),
                                      ("version",)]
+
+
+# ----------------------------------------------------------------------
+# Property suites: any split, any bytes, bounded buffer.
+# ----------------------------------------------------------------------
+_MAX_VALUE = 32
+
+_key = st.text(alphabet="abcdefgh:_-0123456789", min_size=1, max_size=8)
+
+#: Verbs, numbers, terminators and set headers, so random input
+#: reaches the data-block and swallow states often.
+_MC_TOKENS = [b"get ", b"gets ", b"set ", b"delete ", b"stats", b"version",
+              b"quit", b"noreply", b" ", b"\r\n", b"\r", b"0", b"5", b"-1",
+              b"40", b"set k 0 0 5\r\n", b"set k 0 0 40\r\n",
+              b"set k 0 0 400\r\n"]
+
+#: Long runs of payload-ish bytes.
+_runs = st.builds(lambda n: b"x" * n, st.integers(1, 80))
+
+
+@st.composite
+def mc_stream(draw):
+    """A valid memcached byte stream and the events it encodes."""
+    data, events = b"", []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(
+            ["get", "set", "delete", "admin", "unknown", "blank"]))
+        if kind == "get":
+            keys = draw(st.lists(_key, min_size=1, max_size=4))
+            with_cas = draw(st.booleans())
+            verb = b"gets " if with_cas else b"get "
+            data += verb + " ".join(keys).encode() + b"\r\n"
+            events.append(("get", keys, with_cas))
+        elif kind == "set":
+            key = draw(_key)
+            value = draw(st.binary(max_size=2 * _MAX_VALUE))
+            flags, exptime = draw(st.integers(0, 99)), draw(st.integers(0, 99))
+            noreply = draw(st.booleans())
+            data += set_frame(key.encode(), value, flags, exptime, noreply)
+            if len(value) > _MAX_VALUE:
+                events.append(("too_large", key, len(value), noreply))
+            else:
+                events.append(("set", key, flags, exptime, value, noreply))
+        elif kind == "delete":
+            key, noreply = draw(_key), draw(st.booleans())
+            data += b"delete %s%s\r\n" % (key.encode(),
+                                           b" noreply" if noreply else b"")
+            events.append(("delete", key, noreply))
+        elif kind == "admin":
+            verb = draw(st.sampled_from(["stats", "version", "quit"]))
+            data += verb.encode() + b"\r\n"
+            events.append((verb,))
+        elif kind == "unknown":
+            data += b"frobnicate\r\n"
+            events.append(("error",))
+        else:
+            data += b"\r\n"
+    return data, events
+
+
+class TestParserProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(stream=mc_stream(), cuts=st.lists(st.integers(0, 600)))
+    def test_any_split_parses_like_one_feed(self, stream, cuts):
+        data, expected = stream
+        assert McParser(max_value_size=_MAX_VALUE).feed(data) == expected
+        parser = McParser(max_value_size=_MAX_VALUE)
+        bounds = [0] + sorted({c for c in cuts if c <= len(data)}) \
+            + [len(data)]
+        got = []
+        for a, b in zip(bounds, bounds[1:]):
+            got.extend(parser.feed(data[a:b]))
+        assert got == expected
+        assert parser.buffered == 0
+
+    @settings(max_examples=300, deadline=None)
+    @given(chunks=st.lists(
+        st.lists(st.one_of(st.binary(max_size=8),
+                           st.sampled_from(_MC_TOKENS), _runs),
+                 max_size=12).map(b"".join),
+        max_size=6))
+    def test_arbitrary_bytes_raise_typed_errors_and_stay_bounded(
+            self, chunks):
+        """Any input either parses or raises McProtocolError, and the
+        buffer holds at most an unterminated command line
+        (``max_line``) or a data block short of its last byte
+        (``max_value_size + 1``); a swallowed block is never held."""
+        parser = McParser(max_value_size=_MAX_VALUE, max_line=24,
+                          max_keys=4)
+        bound = max(parser.max_line, parser.max_value_size + 1)
+        try:
+            for chunk in chunks:
+                parser.feed(chunk)
+                assert parser.buffered <= bound
+        except McProtocolError:
+            pass

@@ -9,6 +9,8 @@ which is Redis's behaviour.
 """
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.netsrv import (
     NIL,
@@ -151,3 +153,88 @@ class TestParser:
         assert parser.feed(b"$1\r\nk\r\n$1\r\nv\r\n") == [
             [b"SET", b"k", b"v"]
         ]
+
+
+# ----------------------------------------------------------------------
+# Property suites: any split, any bytes, bounded buffer.
+# ----------------------------------------------------------------------
+#: Bytes that steer random input into the parser's interesting paths
+#: (headers, lengths, terminators) far more often than uniform bytes.
+_RESP_TOKENS = [b"*", b"$", b"\r\n", b"\r", b"\n", b"-", b"0", b"1", b"3",
+                b"9", b" ", b"_", b"PING", b"*1\r\n", b"$1\r\n", b"$3\r\n"]
+
+#: Array and bulk headers, some padded with zeros or spaces (which
+#: ``int()`` accepts), and long runs of one byte (long lines).
+_headers = st.builds(
+    lambda lead, pad, n: lead + pad + b"%d\r\n" % n,
+    st.sampled_from([b"*", b"$"]),
+    st.sampled_from([b"", b"0" * 40, b" " * 40]),
+    st.integers(-2, 20))
+_runs = st.builds(lambda b, n: b * n, st.sampled_from([b"0", b" ", b"x"]),
+                  st.integers(1, 40))
+
+_inline_token = st.binary(min_size=1, max_size=6).filter(
+    lambda t: not (set(t) & set(b" \t\r\n\x0b\x0c")) and t[:1] != b"*")
+
+
+@st.composite
+def resp_stream(draw):
+    """A valid RESP byte stream and the commands it encodes."""
+    data, commands = b"", []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(["array", "inline", "empty"]))
+        if kind == "array":
+            args = draw(st.lists(st.binary(max_size=20), min_size=1,
+                                 max_size=4))
+            data += cmd(*args)
+            commands.append(args)
+        elif kind == "inline":
+            tokens = draw(st.lists(_inline_token, min_size=1, max_size=3))
+            data += b" ".join(tokens) + b"\r\n"
+            commands.append(tokens)
+        else:
+            data += draw(st.sampled_from([b"*0\r\n", b"*-1\r\n", b"\r\n"]))
+    return data, commands
+
+
+def _split(data: bytes, cuts):
+    bounds = [0] + sorted(set(cuts)) + [len(data)]
+    return [data[a:b] for a, b in zip(bounds, bounds[1:])]
+
+
+class TestParserProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(stream=resp_stream(), cuts=st.lists(st.integers(0, 400)))
+    def test_any_split_parses_like_one_feed(self, stream, cuts):
+        data, expected = stream
+        assert RespParser().feed(data) == expected
+        parser = RespParser()
+        got = []
+        for chunk in _split(data, [c for c in cuts if c <= len(data)]):
+            got.extend(parser.feed(chunk))
+        assert got == expected
+        assert parser.buffered == 0
+
+    @settings(max_examples=300, deadline=None)
+    # A bulk header padded past max_inline once buffered its whole
+    # line while waiting for the payload.
+    @example(chunks=[b"*1\r\n$" + b"0" * 40 + b"16\r\n" + b"x" * 10])
+    @given(chunks=st.lists(
+        st.lists(st.one_of(st.binary(max_size=8),
+                           st.sampled_from(_RESP_TOKENS), _headers, _runs),
+                 max_size=12).map(b"".join),
+        max_size=6))
+    def test_arbitrary_bytes_raise_typed_errors_and_stay_bounded(
+            self, chunks):
+        """Any input either parses or raises RespProtocolError, and
+        the buffer never holds more than one incomplete frame: a
+        header line of at most ``max_inline`` bytes plus its CRLF and
+        all but the last byte of a ``max_bulk`` payload's CRLF."""
+        parser = RespParser(max_bulk=16, max_elements=4, max_inline=12)
+        bound = parser.max_inline + parser.max_bulk + 3
+        try:
+            for chunk in chunks:
+                parser.feed(chunk)
+                assert parser.buffered <= bound
+        except RespProtocolError:
+            pass

@@ -18,6 +18,7 @@ Goldens are exact: if a reply byte changes, a stock client somewhere
 breaks, so the test should break first.
 """
 
+import logging
 import socket
 import time
 
@@ -396,6 +397,37 @@ class TestFaultsAndMetrics:
             finally:
                 client.close()
 
+    def test_drain_lets_a_stalled_reply_finish(self):
+        service = CacheService(64, "s3fifo")
+        plan = FaultPlan().add(SLOW_CLIENT, 1, 2, magnitude=0.3)
+        st = ServerThread(service, resp_port=0, fault_plan=plan).start()
+        sock = connect(st.resp_port)
+        try:
+            sock.sendall(b"PING\r\n")
+            time.sleep(0.1)  # the server is now inside the stall
+            st.stop(drain_timeout=5.0)
+            assert recv_eof(sock) == b"+PONG\r\n"
+        finally:
+            sock.close()
+
+    def test_drain_deadline_aborts_a_stall(self):
+        service = CacheService(64, "s3fifo")
+        plan = FaultPlan().add(SLOW_CLIENT, 1, 2, magnitude=30.0)
+        st = ServerThread(service, resp_port=0, fault_plan=plan).start()
+        sock = connect(st.resp_port)
+        try:
+            sock.sendall(b"PING\r\n")
+            time.sleep(0.1)
+            start = time.monotonic()
+            st.stop(drain_timeout=0.2)
+            assert time.monotonic() - start < 5.0
+            try:
+                assert recv_eof(sock) == b""
+            except ConnectionResetError:
+                pass  # an abort may arrive as RST
+        finally:
+            sock.close()
+
     def test_per_protocol_metrics(self):
         service = CacheService(64, "s3fifo")
         registry = MetricsRegistry()
@@ -427,6 +459,51 @@ class TestFaultsAndMetrics:
                 "repro_net_command_latency_us",
                 labels={"protocol": "resp", "command": "set"})
             assert latency.count == 1
+
+
+class _BrokenReads(CacheService):
+    """A backend whose reads fail in a way the server cannot expect."""
+
+    def get(self, key, default=None):
+        raise RuntimeError("backend bug")
+
+    def get_many(self, keys):
+        raise RuntimeError("backend bug")
+
+
+class TestInternalErrors:
+    def test_unexpected_error_replies_counts_and_closes(self, caplog):
+        registry = MetricsRegistry()
+        service = _BrokenReads(64, "s3fifo")
+        with caplog.at_level(logging.ERROR), ServerThread(
+                service, resp_port=0, memcached_port=0,
+                metrics=registry) as st:
+            sock = connect(st.resp_port)
+            try:
+                sock.sendall(b"*2\r\n$3\r\nGET\r\n$1\r\na\r\n"
+                             b"*2\r\n$3\r\nGET\r\n$1\r\nb\r\n")
+                assert recv_eof(sock) == b"-ERR internal error\r\n"
+            finally:
+                sock.close()
+            sock = connect(st.memcached_port)
+            try:
+                sock.sendall(b"get a\r\n")
+                assert recv_eof(sock) == \
+                    b"SERVER_ERROR internal error\r\n"
+            finally:
+                sock.close()
+            # Only the failing connections closed: the server serves on.
+            sock = connect(st.resp_port)
+            try:
+                assert exchange(sock, b"PING\r\n", b"\r\n") == b"+PONG\r\n"
+            finally:
+                sock.close()
+        for protocol in ("resp", "memcached"):
+            errors = registry.counter("repro_net_internal_errors",
+                                      labels={"protocol": protocol})
+            assert errors.collect_value() == 1
+        assert [r for r in caplog.records if r.levelno >= logging.ERROR] \
+            == []
 
 
 # ----------------------------------------------------------------------

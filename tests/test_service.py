@@ -6,6 +6,8 @@ import weakref
 import pytest
 
 from repro.cache.registry import create_policy
+from repro.obs import MetricsRegistry
+from repro.obs.policy import InstrumentedPolicy
 from repro.service import CacheService, RemovalUnsupportedError
 from repro.sim.request import Request
 from repro.sim.simulator import simulate
@@ -132,6 +134,40 @@ class TestCacheService:
             assert ref() is None
         finally:
             gc.enable()
+
+    def test_policy_outlives_its_dropped_service(self):
+        """A caller keeping ``service.policy`` can keep driving it after
+        the service is gone: the dead listener does nothing."""
+        svc = CacheService(4, policy="s3fifo")
+        for key in range(10):
+            svc.set(key, key)
+        policy = svc.policy
+        del svc
+        evicted = policy.stats.evictions
+        for key in range(10, 30):
+            policy.access(key)
+        assert policy.stats.evictions > evicted
+
+    def test_dropped_instrumented_policy_is_freed_without_gc(self):
+        """InstrumentedPolicy's listeners must not keep the wrapper and
+        its registry alive through the policy they observe; a caller
+        that keeps the raw policy can still drive it afterwards."""
+        policy = create_policy("s3fifo", capacity=4)
+        registry = MetricsRegistry()
+        wrapper = InstrumentedPolicy(policy, registry)
+        for key in range(10):
+            wrapper.access(key)
+        refs = [weakref.ref(wrapper), weakref.ref(registry)]
+        evicted = policy.stats.evictions
+        gc.disable()
+        try:
+            del wrapper, registry
+            assert [ref() for ref in refs] == [None, None]
+            for key in range(10, 30):
+                policy.access(key)
+        finally:
+            gc.enable()
+        assert policy.stats.evictions > evicted
 
     def test_overwrite_updates_value(self):
         svc = CacheService(10)
