@@ -238,15 +238,25 @@ class CacheServer:
     # Lifecycle
     # ------------------------------------------------------------------
     async def start(self) -> "CacheServer":
-        """Bind the listeners; ephemeral ports become readable after."""
+        """Bind the listeners; ephemeral ports become readable after.
+
+        If a later bind fails, the listeners already bound are closed
+        before the error propagates, so a failed start accepts nothing.
+        """
         if self._started:
             raise RuntimeError("server already started")
         self._loop = asyncio.get_running_loop()
-        if self.resp_port is not None:
-            self.resp_port = await self._listen("resp", self.resp_port)
-        if self.memcached_port is not None:
-            self.memcached_port = await self._listen(
-                "memcached", self.memcached_port)
+        try:
+            if self.resp_port is not None:
+                self.resp_port = await self._listen("resp", self.resp_port)
+            if self.memcached_port is not None:
+                self.memcached_port = await self._listen(
+                    "memcached", self.memcached_port)
+        except BaseException:
+            for srv in self._servers:
+                srv.close()
+            self._servers.clear()
+            raise
         self._started = True
         return self
 

@@ -134,6 +134,7 @@ class MultiSimResult:
             bytes_requested=self.bytes_requested,
             bytes_missed=self.bytes_missed[i],
             evictions=self.evictions[i],
+            engine="multisim",
         )
 
     def to_curve(self):

@@ -47,6 +47,15 @@ class SimulationResult:
     *this run*, ``warmup_evictions`` counts evictions during the
     warmup prefix, and :attr:`total_evictions` is their sum.  Evictions
     a pre-used policy performed before the run are never included.
+
+    ``engine`` records which engine produced the result: ``"scalar"``
+    (the streaming or compiled per-request paths), ``"vector"``
+    (:mod:`repro.sim.vector`), or ``"multisim"`` (a view of one size
+    of a :class:`~repro.sim.multisim.MultiSimResult`).
+    ``vector_steps`` is the number of scalar kernel events the vector
+    engine ran (static candidates plus forced rechecks), ``None`` on
+    the other engines; ``vector_steps / (requests + warmup_requests)``
+    is the share of requests that left the vectorized hit path.
     """
 
     __slots__ = (
@@ -59,6 +68,8 @@ class SimulationResult:
         "evictions",
         "warmup_requests",
         "warmup_evictions",
+        "engine",
+        "vector_steps",
     )
 
     def __init__(
@@ -72,6 +83,8 @@ class SimulationResult:
         evictions: int,
         warmup_requests: int = 0,
         warmup_evictions: int = 0,
+        engine: str = "scalar",
+        vector_steps: Optional[int] = None,
     ) -> None:
         self.policy_name = policy_name
         self.capacity = capacity
@@ -82,6 +95,8 @@ class SimulationResult:
         self.evictions = evictions
         self.warmup_requests = warmup_requests
         self.warmup_evictions = warmup_evictions
+        self.engine = engine
+        self.vector_steps = vector_steps
 
     @property
     def hits(self) -> int:

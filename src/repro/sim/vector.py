@@ -35,6 +35,16 @@ per-*request*):
   candidates at every occurrence (their mask was 0 at chunk start) and
   re-probe live state in the scalar step.
 
+Two loops run the events.  FIFO, S-FIFO and SIEVE hand each one to a
+kernel's ``step`` method (:func:`_run_kernel`).  S3-FIFO, whose miss
+path is the longest (S eviction, promotion, M reinsertion, ghost),
+runs in one flat function with Algorithm 1 expanded in place
+(:func:`_run_s3fifo`), as ``FastS3FifoCache._batch_unit_plain`` does
+for the scalar engine: a method call per sub-step had made its vector
+path slower than the scalar twin below a hit ratio of about 0.7.  The
+flat loop is faster than the twin at every hit ratio on the benchmark
+traces (Zipf 0.6-1.2 over 100k objects; see docs/PERFORMANCE.md).
+
 LRU is excluded by design: its hits mutate the recency order, which is
 exactly the paper's point.
 
@@ -46,6 +56,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, insort
 from collections import OrderedDict, deque
+from heapq import heappop, heappush
 from typing import Optional
 
 from repro.sim.simulator import SimulationResult, _resolve_warmup
@@ -354,165 +365,310 @@ class _SieveKernel(_KernelBase):
             self.vstored[kid] = 1
 
 
-class _S3FifoKernel(_KernelBase):
-    """S3-FIFO (Algorithm 1) with a lazy capped frequency.
+# ----------------------------------------------------------------------
+# Chunk loops
+# ----------------------------------------------------------------------
+def _candidates(np, mask_np, ids_np, over_np, c0: int, c1: int) -> list:
+    """Positions in ``[c0, c1)`` the probe cannot settle as hits: keys
+    not vector-consumable at chunk start, plus oversized requests."""
+    probe = mask_np[ids_np[c0:c1]] == 0
+    if over_np is not None:
+        probe |= over_np[c0:c1]
+    return (np.flatnonzero(probe) + c0).tolist()
 
-    ``fstored[kid]`` is exact as of the key's last scalar touch
-    (insert, promotion, reinsertion decrement).  Between touches only
-    capped +1 increments happen — every occurrence of a resident key is
-    a hit — so the true frequency read by the evictor is
-    ``min(fstored + pending, freq_cap)``: increment-then-cap commutes
-    into cap-of-sum because ``min(min(f + a, c) + b, c) ==
-    min(f + a + b, c)``.
+
+def _run_kernel(kernel: _KernelBase, trace, warmup_requests: int,
+                chunk: int, np):
+    """The chunk loop for the per-policy kernels: probe, merge static
+    candidates with forced events, hand each event to ``kernel.step``.
+
+    Returns ``(warmup, total)`` snapshots of ``(misses, bytes_missed,
+    evictions)`` and the number of scalar steps.
     """
+    n = len(trace)
+    ids_np = np.frombuffer(trace.keys, dtype=np.int64)
+    ids = trace.key_ids()
+    sizes = trace.sizes
+    unit = sizes is None
+    capacity = kernel.capacity
+    over_np = None if unit else (
+        np.frombuffer(sizes, dtype=np.int64) > capacity)
+    # Zero-copy view over the kernel's bytearray mask for the probe.
+    mask_np = np.frombuffer(kernel.mask, dtype=np.uint8)
+    step = kernel.step
+    oversized_touch = kernel.oversized_touch
+    misses = bytes_missed = steps = 0
+    for lo, hi in ((0, warmup_requests), (warmup_requests, n)):
+        warm = (misses, bytes_missed, kernel.evictions)
+        for c0 in range(lo, hi, chunk):
+            c1 = min(c0 + chunk, hi)
+            cand = _candidates(np, mask_np, ids_np, over_np, c0, c1)
+            if not cand:
+                continue
+            forced = kernel.begin_chunk(c1)
+            ci = 0
+            nc = len(cand)
+            steps += nc  # plus each forced event that is no candidate
+            while ci < nc or forced:
+                if ci < nc:
+                    evt = cand[ci]
+                    if forced and forced[0] <= evt:
+                        fevt = forced.pop(0)
+                        if fevt == evt:
+                            ci += 1
+                        else:
+                            steps += 1
+                        evt = fevt
+                    else:
+                        ci += 1
+                else:
+                    evt = forced.pop(0)
+                    steps += 1
+                if unit:
+                    if not step(ids[evt], 1, evt):
+                        misses += 1
+                    continue
+                kid = ids[evt]
+                size = sizes[evt]
+                if size > capacity:
+                    misses += 1
+                    bytes_missed += size
+                    oversized_touch(kid, evt)
+                elif not step(kid, size, evt):
+                    misses += 1
+                    bytes_missed += size
+    return warm, (misses, bytes_missed, kernel.evictions), steps
 
-    def __init__(
-        self,
-        capacity: int,
-        trace,
-        s_cap: int,
-        m_cap: int,
-        freq_cap: int,
-        threshold: int,
-        ghost_dynamic: bool,
-        ghost_cap: int,
-    ) -> None:
-        from repro.structures.ghost import GhostFifo
 
-        super().__init__(capacity, trace)
-        self.s_cap = s_cap
-        self.m_cap = m_cap
-        self.freq_cap = freq_cap
-        self.threshold = threshold
-        self.ghost_dynamic = ghost_dynamic
-        self.unit = trace.sizes is None
-        self.small: deque = deque()
-        self.main: deque = deque()
-        self.size_of: dict = {}
-        self.fstored = [0] * self.num_objects
-        self.ghost = GhostFifo(ghost_cap)
-        self.s_used = 0
-        self.m_used = 0
-        self.count = 0
+def _run_s3fifo(spec: dict, capacity: int, trace, warmup_requests: int,
+                chunk: int, np):
+    """S3-FIFO (Algorithm 1) over the whole trace in one flat loop.
 
-    def step(self, kid: int, size: int, pos: int) -> bool:
-        if self.mask[kid]:
-            return True
-        while self.used + size > self.capacity:
-            if self.s_used >= self.s_cap or not self.main:
-                self._evict_s(pos)
-            else:
-                self._evict_m(pos)
-        if self.ghost.remove(kid):
-            self.main.append(kid)
-            self.m_used += size
-        else:
-            self.small.append(kid)
-            self.s_used += size
-        self.size_of[kid] = size
-        self.fstored[kid] = 0
-        self.used += size
-        self.count += 1
-        self.mask[kid] = 1
-        self.ptr[kid] += 1  # consume this occurrence (insert invariant)
-        return False
+    The same chunk probe and candidate/forced-event merge as
+    :func:`_run_kernel`, with Algorithm 1 expanded in place (as in
+    ``FastS3FifoCache._batch_unit_plain``): queue contents, byte
+    counters and the ghost live in locals, so a miss costs no Python
+    call beyond C-level deque, heap and bisect operations.  Unit traces
+    take the same loop with size 1.
 
-    def _freq_of(self, kid: int, pos: int) -> int:
-        f = self.fstored[kid] + self._take_pending(kid, pos)
-        cap = self.freq_cap
-        return f if f < cap else cap
+    Frequencies are lazy.  ``fstored[kid]`` is exact as of the key's
+    last scalar touch (insert, promotion, reinsertion decrement, an
+    oversized touch).  Between touches only capped +1 increments
+    happen -- every occurrence of a resident key is a hit -- so the
+    frequency the evictor reads is ``min(fstored + pending, freq_cap)``
+    (increment-then-cap commutes into cap-of-sum), where ``pending``
+    counts the key's occurrences from its pointer up to the current
+    position (one ``bisect_left`` on its occurrence chain).
 
-    def _evict_s(self, pos: int) -> None:
-        small = self.small
-        while small:
-            victim = small.popleft()
-            vsize = self.size_of[victim]
-            self.s_used -= vsize
-            if self._freq_of(victim, pos) >= self.threshold:
-                self.fstored[victim] = 0  # access bits cleared on the move
-                self.main.append(victim)
-                self.m_used += vsize
-                if self.m_used > self.m_cap:
-                    self._evict_m(pos)
-            else:
-                del self.size_of[victim]
-                self.used -= vsize
-                self.count -= 1
-                if self.ghost_dynamic and not self.unit:
-                    # Paper sizing: as many ghost entries as M can hold
-                    # objects (reference S3FifoCache._evict_s).  On
-                    # unit traces the mean size is identically 1.0 and
-                    # the capacity stays m_cap, so the resize is
-                    # skipped there.
-                    mean_size = (
-                        self.used / self.count if self.count else 1.0
-                    )
-                    self.ghost.set_capacity(
-                        max(1, int(self.m_cap / max(1.0, mean_size)))
-                    )
-                self.ghost.add(victim)
-                self.mask[victim] = 0
-                self.evictions += 1
-                self._force_next_synced(victim)
-                return
-        # S drained entirely into M; fall back to evicting from M.
-        if self.main:
-            self._evict_m(pos)
+    The ghost is the fast twin's stamp table: ``g_stamp_of[kid]`` is
+    the stamp of the key's live ghost entry, -1 when absent.  Stamps
+    count ghost additions, so the entry at the front of ``ghost`` has
+    stamp ``g_front``, and an entry is live iff its key's stamp still
+    matches; removals are O(1) invalidations and dead entries are
+    dropped when they reach the front.
 
-    def _evict_m(self, pos: int) -> None:
-        main = self.main
-        while main:
-            victim = main.popleft()
-            f = self._freq_of(victim, pos)
-            if f > 0:
-                self.fstored[victim] = f - 1
-                main.append(victim)  # FIFO-reinsertion
-            else:
-                vsize = self.size_of.pop(victim)
-                self.m_used -= vsize
-                self.used -= vsize
-                self.count -= 1
-                self.mask[victim] = 0
-                self.evictions += 1
-                self._force_next_synced(victim)
-                return
-
-    def _skip_hit(self, kid: int, pos: int) -> None:
-        # Oversized touch of a resident key: fold pending hits below
-        # ``pos`` into the stored frequency, then drop the occurrence
-        # at ``pos`` itself (the reference never calls _access for it).
-        f = self.fstored[kid] + self._take_pending(kid, pos)
-        cap = self.freq_cap
-        self.fstored[kid] = f if f < cap else cap
+    Returns the same triple as :func:`_run_kernel`.
+    """
+    s_cap = spec["s_cap"]
+    m_cap = spec["m_cap"]
+    fcap = spec["freq_cap"]
+    threshold = spec["threshold"]
+    g_cap = spec["ghost_cap"]
+    # Paper sizing: a dynamic ghost holds as many entries as M holds
+    # objects, m_cap / mean size.  On unit traces that is m_cap, the
+    # starting capacity, so only sized traces resize.
+    resize_ghost = spec["ghost_dynamic"] and trace.sizes is not None
+    n = len(trace)
+    k = trace.num_objects
+    ids_np = np.frombuffer(trace.keys, dtype=np.int64)
+    ids = trace.key_ids()
+    sizes = trace.sizes
+    unit = sizes is None
+    over_np = None if unit else (
+        np.frombuffer(sizes, dtype=np.int64) > capacity)
+    op, occ_start = trace.occurrence_index()
+    ptr = occ_start[:-1]
+    mask = bytearray(k)
+    mask_np = np.frombuffer(mask, dtype=np.uint8)
+    fstored = [0] * k
+    # Unit traces read every size as 1: a bytearray of ones does that in
+    # an eighth of a list's memory (a list of k slots measurably raised
+    # the benchmark's peak RSS through the allocator's heap growth).
+    size_of = bytearray(b"\x01") * k if unit else [0] * k
+    small = deque()
+    main = deque()
+    s_pop = small.popleft
+    s_push = small.append
+    m_pop = main.popleft
+    m_push = main.append
+    g_stamp_of = [-1] * k
+    ghost = deque()
+    g_pop = ghost.popleft
+    g_push = ghost.append
+    g_front = g_next = g_live = 0
+    used = s_used = m_used = 0
+    # Every event is a miss but for the rare hit on a key that became
+    # resident earlier in its chunk, so count those and the steps.
+    hits = bytes_missed = evictions = steps = 0
+    # A miss evicts while used > room; unit traces fix size and room.
+    size = 1
+    room = capacity - 1
+    for lo, hi in ((0, warmup_requests), (warmup_requests, n)):
+        warm = (steps - hits, bytes_missed, evictions)
+        for c0 in range(lo, hi, chunk):
+            c1 = min(c0 + chunk, hi)
+            cand = _candidates(np, mask_np, ids_np, over_np, c0, c1)
+            if not cand:
+                continue
+            steps += len(cand)  # plus each forced event not in cand
+            # Forced events wait in a heap.  Both streams end in the
+            # sentinel c1, so the merge needs no emptiness checks.
+            cand.append(c1)
+            forced = [c1]
+            ci = 0
+            while True:
+                pos = cand[ci]
+                nxt = forced[0]
+                if nxt <= pos:
+                    if nxt == c1:
+                        break
+                    heappop(forced)
+                    if nxt == pos:
+                        ci += 1
+                    else:
+                        steps += 1
+                        pos = nxt
+                else:
+                    ci += 1
+                kid = ids[pos]
+                if not unit:
+                    size = sizes[pos]
+                    if size > capacity:
+                        # Oversized: a miss that never reaches the
+                        # policy.  Consume this occurrence; a resident
+                        # key folds its pending hits, an absent one
+                        # forces its next occurrence (its mask column
+                        # may be stale).
+                        bytes_missed += size
+                        p = ptr[kid]
+                        end = occ_start[kid + 1]
+                        q = bisect_left(op, pos, p, end)
+                        ptr[kid] = q + 1
+                        if mask[kid]:
+                            f = fstored[kid] + q - p
+                            fstored[kid] = f if f < fcap else fcap
+                        elif q + 1 < end and op[q + 1] < c1:
+                            heappush(forced, op[q + 1])
+                        continue
+                    if mask[kid]:
+                        hits += 1
+                        continue
+                    bytes_missed += size
+                    room = capacity - size
+                elif mask[kid]:
+                    hits += 1
+                    continue
+                while used > room:
+                    # One eviction.  ``in_s`` picks the queue the next
+                    # victim comes from; ``nested`` marks an M eviction
+                    # forced by a promotion, after which S resumes.
+                    in_s = s_used >= s_cap or not main
+                    nested = False
+                    while True:
+                        if in_s:
+                            if not small:
+                                # S drained into M: evict from M, if
+                                # a nested eviction left anything.
+                                if not main:
+                                    break
+                                in_s = False
+                                continue
+                            v = s_pop()
+                            vsize = size_of[v]
+                            s_used -= vsize
+                        else:
+                            v = m_pop()
+                        f = fstored[v]
+                        p = ptr[v]
+                        end = occ_start[v + 1]
+                        if p < end and op[p] < pos:
+                            q = bisect_left(op, pos, p, end)
+                            ptr[v] = q
+                            f += q - p
+                            if f > fcap:
+                                f = fcap
+                        if in_s:
+                            if f >= threshold:
+                                fstored[v] = 0  # access bits cleared
+                                m_push(v)
+                                m_used += vsize
+                                if m_used > m_cap:
+                                    in_s = False
+                                    nested = True
+                                continue
+                            used -= vsize
+                            if resize_ghost:
+                                count = len(small) + len(main)
+                                mean = used / count if count else 1.0
+                                g_cap = max(1, int(m_cap / max(1.0, mean)))
+                            if g_cap:
+                                g_stamp_of[v] = g_next
+                                g_next += 1
+                                g_push(v)
+                                g_live += 1
+                                while g_live > g_cap:
+                                    o = g_pop()
+                                    if g_stamp_of[o] == g_front:
+                                        g_stamp_of[o] = -1
+                                        g_live -= 1
+                                    g_front += 1
+                        else:
+                            if f:
+                                fstored[v] = f - 1
+                                m_push(v)  # FIFO-Reinsertion
+                                continue
+                            vsize = size_of[v]
+                            m_used -= vsize
+                            used -= vsize
+                        mask[v] = 0
+                        evictions += 1
+                        # v left the vector-consumable set: splice its
+                        # next occurrence in this chunk into the events.
+                        p = ptr[v]
+                        if p < end and op[p] < c1:
+                            heappush(forced, op[p])
+                        if nested:
+                            in_s = True
+                            nested = False
+                            continue
+                        break
+                mask[kid] = 1
+                fstored[kid] = 0
+                ptr[kid] += 1  # consume this occurrence (insert invariant)
+                size_of[kid] = size
+                if g_stamp_of[kid] != -1:  # ghost hit: straight to M
+                    g_stamp_of[kid] = -1
+                    g_live -= 1
+                    m_push(kid)
+                    m_used += size
+                else:
+                    s_push(kid)
+                    s_used += size
+                used += size
+    return warm, (steps - hits, bytes_missed, evictions), steps
 
 
 # ----------------------------------------------------------------------
 # Policy -> kernel adaptation
 # ----------------------------------------------------------------------
-def _build_kernel(policy, trace) -> Optional[_KernelBase]:
-    spec = getattr(policy, "vector_spec", None)
-    spec = spec() if callable(spec) else None
-    if spec is None:
-        return None
+def _build_kernel(spec: dict, capacity: int, trace) -> _KernelBase:
     kind = spec["kind"]
-    capacity = policy.capacity
     if kind == "fifo":
         return _FifoKernel(capacity, trace)
     if kind == "sfifo":
         return _SFifoKernel(capacity, trace, spec["primary_cap"])
     if kind == "sieve":
         return _SieveKernel(capacity, trace)
-    if kind == "s3fifo":
-        return _S3FifoKernel(
-            capacity,
-            trace,
-            s_cap=spec["s_cap"],
-            m_cap=spec["m_cap"],
-            freq_cap=spec["freq_cap"],
-            threshold=spec["threshold"],
-            ghost_dynamic=spec["ghost_dynamic"],
-            ghost_cap=spec["ghost_cap"],
-        )
     raise ValueError(f"unknown vector kernel kind {kind!r}")
 
 
@@ -553,8 +709,9 @@ def vector_simulate(
 
     Returns a :class:`~repro.sim.simulator.SimulationResult`
     bit-identical to the scalar engines' (same misses, bytes, eviction
-    split) for every supported policy.  The policy object is read only
-    for its configuration and is **not** mutated: its stats, clock, and
+    split) for every supported policy, with ``engine="vector"`` and
+    ``vector_steps`` set.  The policy object is read only for its
+    configuration and is **not** mutated: its stats, clock, and
     resident set stay exactly as passed in (pristine, per
     :func:`vector_eligible`).  ``chunk`` sets the vectorized probe
     width; results are invariant to it by construction.
@@ -567,93 +724,28 @@ def vector_simulate(
     if chunk <= 0:
         raise ValueError(f"chunk must be positive, got {chunk}")
     np = _numpy()
-    kernel = _build_kernel(policy, trace)
     n = len(trace)
     warmup_requests = min(_resolve_warmup(trace, warmup, warmup_requests), n)
-
-    ids_np = np.frombuffer(trace.keys, dtype=np.int64)
-    ids = trace.key_ids()
-    sizes = trace.sizes
+    spec = policy.vector_spec()
     capacity = policy.capacity
-    if sizes is not None:
-        sizes_np = np.frombuffer(sizes, dtype=np.int64)
-        over_np = sizes_np > capacity
-    # Zero-copy view over the kernel's bytearray mask for the probe.
-    mask_np = np.frombuffer(kernel.mask, dtype=np.uint8)
-    step = kernel.step
-    oversized_touch = kernel.oversized_touch
-
-    # counters[bucket] = [misses, bytes_requested, bytes_missed]
-    counters = [[0, 0, 0], [0, 0, 0]]
-    warmup_evictions = 0
-    for bucket, (lo, hi) in enumerate(((0, warmup_requests),
-                                       (warmup_requests, n))):
-        if bucket == 1:
-            warmup_evictions = kernel.evictions
-        acc = counters[bucket]
-        for c0 in range(lo, hi, chunk):
-            c1 = min(c0 + chunk, hi)
-            probe = mask_np[ids_np[c0:c1]]
-            if sizes is None:
-                cand_arr = np.flatnonzero(probe == 0)
-                if not cand_arr.size:
-                    continue
-                cand = (cand_arr + c0).tolist()
-                forced = kernel.begin_chunk(c1)
-                ci = 0
-                nc = len(cand)
-                while ci < nc or forced:
-                    if ci < nc:
-                        evt = cand[ci]
-                        if forced and forced[0] <= evt:
-                            fevt = forced.pop(0)
-                            if fevt == evt:
-                                ci += 1
-                            evt = fevt
-                        else:
-                            ci += 1
-                    else:
-                        evt = forced.pop(0)
-                    if not step(ids[evt], 1, evt):
-                        acc[0] += 1
-            else:
-                acc[1] += int(sizes_np[c0:c1].sum())
-                cand_arr = np.flatnonzero((probe == 0) | over_np[c0:c1])
-                if not cand_arr.size:
-                    continue
-                cand = (cand_arr + c0).tolist()
-                forced = kernel.begin_chunk(c1)
-                ci = 0
-                nc = len(cand)
-                while ci < nc or forced:
-                    if ci < nc:
-                        evt = cand[ci]
-                        if forced and forced[0] <= evt:
-                            fevt = forced.pop(0)
-                            if fevt == evt:
-                                ci += 1
-                            evt = fevt
-                        else:
-                            ci += 1
-                    else:
-                        evt = forced.pop(0)
-                    kid = ids[evt]
-                    size = sizes[evt]
-                    if size > capacity:
-                        acc[0] += 1
-                        acc[2] += size
-                        oversized_touch(kid, evt)
-                    elif not step(kid, size, evt):
-                        acc[0] += 1
-                        acc[2] += size
+    if spec["kind"] == "s3fifo":
+        warm, total, steps = _run_s3fifo(
+            spec, capacity, trace, warmup_requests, chunk, np
+        )
+    else:
+        warm, total, steps = _run_kernel(
+            _build_kernel(spec, capacity, trace), trace, warmup_requests,
+            chunk, np,
+        )
     requests = n - warmup_requests
-    misses = counters[1][0]
-    if sizes is None:
+    misses = total[0] - warm[0]
+    if trace.sizes is None:
         bytes_requested = requests
         bytes_missed = misses
     else:
-        bytes_requested = counters[1][1]
-        bytes_missed = counters[1][2]
+        sizes_np = np.frombuffer(trace.sizes, dtype=np.int64)
+        bytes_requested = int(sizes_np[warmup_requests:].sum())
+        bytes_missed = total[1] - warm[1]
     return SimulationResult(
         policy_name=policy.name,
         capacity=capacity,
@@ -661,7 +753,9 @@ def vector_simulate(
         misses=misses,
         bytes_requested=bytes_requested,
         bytes_missed=bytes_missed,
-        evictions=kernel.evictions - warmup_evictions,
+        evictions=total[2] - warm[2],
         warmup_requests=warmup_requests,
-        warmup_evictions=warmup_evictions,
+        warmup_evictions=warm[2],
+        engine="vector",
+        vector_steps=steps,
     )

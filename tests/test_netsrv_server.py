@@ -355,6 +355,23 @@ class TestLifecycle:
         finally:
             squatter.close()
 
+    def test_failed_start_closes_bound_listeners(self):
+        squatter = socket.socket()
+        squatter.bind(("127.0.0.1", 0))
+        squatter.listen(1)
+        taken = squatter.getsockname()[1]
+        try:
+            st = ServerThread(CacheService(64, "s3fifo"), resp_port=0,
+                              memcached_port=taken)
+            with pytest.raises(OSError):
+                st.start()
+            # The RESP listener bound before the memcached bind failed.
+            assert st.resp_port not in (0, None)
+            with pytest.raises(ConnectionRefusedError):
+                connect(st.resp_port).close()
+        finally:
+            squatter.close()
+
 
 class TestFaultsAndMetrics:
     def test_conn_reset_fault_answers_then_resets(self):

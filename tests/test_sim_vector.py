@@ -25,6 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cache.registry import create_policy
+from repro.sim.multisim import fifo_multisim
 from repro.sim.request import Request
 from repro.sim.simulator import simulate, simulate_compiled
 from repro.sim.vector import (
@@ -71,6 +72,15 @@ POLICY_CONFIGS = [
     ("s3fifo-fast", {}),
     ("s3fifo-fast", {"small_ratio": 0.25, "ghost_entries": 40,
                      "move_to_main_threshold": 1, "freq_cap": 3}),
+    # S3-FIFO edge branches: no ghost at all; every S tail promoted
+    # (threshold 0) under a 1-bit counter; a small queue clamped to
+    # one slot.
+    ("s3fifo", {"ghost_entries": 0}),
+    ("s3fifo", {"move_to_main_threshold": 0, "freq_cap": 1}),
+    ("s3fifo", {"small_ratio": 0.01}),
+    ("s3fifo-fast", {"ghost_entries": 0}),
+    ("s3fifo-fast", {"move_to_main_threshold": 0, "freq_cap": 1}),
+    ("s3fifo-fast", {"small_ratio": 0.01}),
 ]
 
 
@@ -262,6 +272,30 @@ def test_vector_rejects_ineligible():
         vector_simulate(warm, trace)
     # Raw (uncompiled) traces never qualify.
     assert not vector_eligible(create_policy("fifo", 60), ZIPF)
+
+
+def test_result_records_engine_and_steps():
+    """``engine`` names the engine that ran; ``vector_steps`` counts the
+    vector engine's scalar events (every miss is one) and is None
+    elsewhere."""
+    for tname in ("mix", "over"):
+        trace, caps = TRACES[tname]
+        for name in ("s3fifo", "sieve"):
+            auto = simulate(create_policy(name, caps[0]), trace, warmup=0.3)
+            assert auto.engine == "vector"
+            assert auto.misses <= auto.vector_steps <= len(trace)
+            scalar = simulate(
+                create_policy(name, caps[0]), trace, warmup=0.3,
+                engine="scalar",
+            )
+            assert scalar.engine == "scalar"
+            assert scalar.vector_steps is None
+    lru = simulate(create_policy("lru", 60), TRACES["zipf"][0])
+    assert (lru.engine, lru.vector_steps) == ("scalar", None)
+    streamed = simulate(create_policy("s3fifo", 60), ZIPF)
+    assert (streamed.engine, streamed.vector_steps) == ("scalar", None)
+    view = fifo_multisim(TRACES["zipf"][0], [60]).result_for(60)
+    assert (view.engine, view.vector_steps) == ("multisim", None)
 
 
 def test_unknown_engine_rejected():
